@@ -1,11 +1,10 @@
 """Timing comparison of the numba and numpy kernel paths.
 
-Run with:  python benchmarks/bench_kernels.py [--nmax 40] [--points 200000]
+Run with:  python benchmarks/bench_kernels.py [--points 200000]
 
-The Gram benchmark assembles the total-degree system for 2 - z1 - z2 at
-alpha = 2; the evaluation benchmark evaluates a dense random degree-12
-polynomial on a batch of bidisk points.  The first numba call includes
-compilation and is reported separately from the warm timings.
+The evaluation benchmark evaluates a dense random degree-12 polynomial on a
+batch of bidisk points.  The first numba call includes compilation and is
+reported separately from the warm timings.
 """
 
 from __future__ import annotations
@@ -16,28 +15,7 @@ import time
 import numpy as np
 
 from bidisk._backend import HAS_NUMBA, backend_name
-from bidisk._kernels import (
-    _eval_points_numpy,
-    _gram_fill_numpy,
-    eval_points_numba,
-    gram_fill_numba,
-)
-from bidisk.approximant import BasisSpec, basis_monomials
-from bidisk.expr import parse_polynomial
-from bidisk.spaces import iso, weight_grid
-
-
-def _gram_inputs(nmax: int):
-    f = parse_polynomial("2 - z1 - z2")
-    basis = basis_monomials(BasisSpec.total(nmax))
-    bk = np.array([k for k, _ in basis], dtype=np.int64)
-    bl = np.array([l for _, l in basis], dtype=np.int64)
-    grid = f.coeffs
-    fk, fl = np.nonzero(grid)
-    fv = grid[fk, fl]
-    m, n = f.bidegree
-    wtab = weight_grid(iso(2.0), int(bk.max()) + m, int(bl.max()) + n)
-    return bk, bl, fk.astype(np.int64), fl.astype(np.int64), fv, grid, wtab
+from bidisk._kernels import _eval_points_numpy, eval_points_numba
 
 
 def _time(fn, *args, repeats: int = 3) -> float:
@@ -47,29 +25,6 @@ def _time(fn, *args, repeats: int = 3) -> float:
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def bench_gram(nmax: int) -> None:
-    bk, bl, fk, fl, fv, grid, wtab = _gram_inputs(nmax)
-    nb = bk.shape[0]
-    print(f"gram fill: basis size {nb} (total degree {nmax})")
-
-    out = np.zeros((nb, nb), dtype=np.complex128)
-    t_numpy = _time(
-        lambda: (_gram_fill_numpy(bk, bl, fk, fl, fv, grid, wtab, np.zeros_like(out)))
-    )
-    print(f"  numpy  : {t_numpy * 1e3:9.2f} ms")
-
-    kern = gram_fill_numba()
-    if kern is None:
-        print("  numba  : unavailable")
-        return
-    t0 = time.perf_counter()
-    kern(bk, bl, fk, fl, fv, grid, wtab, np.zeros_like(out))
-    t_compile = time.perf_counter() - t0
-    t_numba = _time(lambda: kern(bk, bl, fk, fl, fv, grid, wtab, np.zeros_like(out)))
-    print(f"  numba  : {t_numba * 1e3:9.2f} ms  (first call {t_compile * 1e3:.0f} ms)")
-    print(f"  speedup: {t_numpy / t_numba:9.2f}x")
 
 
 def bench_eval(points: int) -> None:
@@ -101,11 +56,9 @@ def bench_eval(points: int) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmax", type=int, default=40)
     ap.add_argument("--points", type=int, default=200_000)
     args = ap.parse_args()
     print(f"backend selected at import: {backend_name()} (numba present: {HAS_NUMBA})")
-    bench_gram(args.nmax)
     bench_eval(args.points)
 
 

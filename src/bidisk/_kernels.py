@@ -1,11 +1,9 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Batched point evaluation with numba and pure-numpy implementations.
 
-Two operations dominate runtime: filling the Gram matrix of shifted copies
-of a polynomial, and evaluating a polynomial on large batches of points.
-Each has a loop version (compiled with numba when available) and a
-vectorized numpy version.  ``gram_fill`` and ``eval_points`` are the
-selected aliases; the ``*_loops`` / ``*_numpy`` names stay importable so the
-benchmark can compare both paths directly.
+Evaluating a polynomial on large batches of points has a loop version
+(compiled with numba when available) and a vectorized numpy version.
+``eval_points`` is the selected alias; the ``*_loops`` / ``*_numpy`` names
+stay importable so the benchmark can compare both paths directly.
 """
 
 from __future__ import annotations
@@ -13,76 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._backend import USE_NUMBA, njit
-
-# ---------------------------------------------------------------------------
-# Gram fill
-#
-# G[i, j] = <e_j f, e_i f> where e_i = z1^bk[i] z2^bl[i].  Expanding both
-# products over the support of f and matching monomials gives
-#
-#   G[i, j] = sum over support points s of f of
-#             f[s] * conj(f[s + e_j - e_i]) * w[e_j + s]
-#
-# with w the weight table of the ambient space.  The loop version runs this
-# sum for the upper triangle; the numpy version iterates over pairs of
-# support points instead and scatters into G, which is O(|supp f|^2 * |basis|).
-# ---------------------------------------------------------------------------
-
-
-def _gram_fill_loops(bk, bl, fk, fl, fv, fgrid, wtab, out):
-    nb = bk.shape[0]
-    ns = fk.shape[0]
-    mg = fgrid.shape[0]
-    ng = fgrid.shape[1]
-    for i in range(nb):
-        for j in range(i, nb):
-            dk = bk[j] - bk[i]
-            dl = bl[j] - bl[i]
-            acc = 0j
-            for s in range(ns):
-                ck = fk[s] + dk
-                cl = fl[s] + dl
-                if 0 <= ck < mg and 0 <= cl < ng:
-                    fc = fgrid[ck, cl]
-                    if fc != 0:
-                        acc += fv[s] * np.conj(fc) * wtab[bk[j] + fk[s], bl[j] + fl[s]]
-            out[i, j] = acc
-            out[j, i] = np.conj(acc)
-
-
-def _gram_fill_numpy(bk, bl, fk, fl, fv, fgrid, wtab, out):
-    mg, ng = fgrid.shape
-    nb = bk.shape[0]
-    # basis index lookup on the (kmax+1, lmax+1) grid, -1 where absent
-    kmax = int(bk.max())
-    lmax = int(bl.max())
-    idx = np.full((kmax + 1, lmax + 1), -1, dtype=np.int64)
-    idx[bk, bl] = np.arange(nb)
-    ns = fk.shape[0]
-    for s in range(ns):
-        for t in range(ns):
-            if fv[s] == 0 or fv[t] == 0:
-                continue
-            dk = int(fk[s] - fk[t])
-            dl = int(fl[s] - fl[t])
-            ki = bk + dk
-            li = bl + dl
-            ok = (ki >= 0) & (ki <= kmax) & (li >= 0) & (li <= lmax)
-            if not ok.any():
-                continue
-            j_cand = np.nonzero(ok)[0]
-            i_cand = idx[ki[j_cand], li[j_cand]]
-            hit = i_cand >= 0
-            j_sel = j_cand[hit]
-            i_sel = i_cand[hit]
-            if j_sel.size == 0:
-                continue
-            w = wtab[bk[j_sel] + fk[s], bl[j_sel] + fl[s]]
-            out[i_sel, j_sel] += fv[s] * np.conj(fv[t]) * w
-    # accumulation order differs between mirrored entries; enforce hermiticity
-    out += out.conj().T
-    out *= 0.5
-
 
 # ---------------------------------------------------------------------------
 # Pointwise evaluation (Horner in z2 inside Horner in z1)
@@ -116,18 +44,9 @@ def _eval_points_numpy(c, z1, z2, out):
 
 
 if USE_NUMBA:
-    gram_fill = njit(cache=True)(_gram_fill_loops)
     eval_points = njit(cache=True)(_eval_points_loops)
 else:
-    gram_fill = _gram_fill_numpy
     eval_points = _eval_points_numpy
-
-
-def gram_fill_numba():
-    """Return the jitted gram kernel, or None when numba is unavailable."""
-    if njit is None:
-        return None
-    return njit(cache=True)(_gram_fill_loops)
 
 
 def eval_points_numba():

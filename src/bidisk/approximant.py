@@ -1,17 +1,26 @@
 """Optimal polynomial approximants to 1/f in weighted coefficient norms.
 
 For a polynomial f and a finite monomial basis e_1..e_N, the optimal
-approximant p minimizes ||p*f - 1|| over span{e_i}.  The normal equations
-G c = v with G[i,j] = <e_j f, e_i f> and v[i] = <1, e_i f> are solved by a
-Cholesky factorization; badly conditioned systems fall back to a QR least
-squares solve on the weighted coefficient matrix.  The reported distance is
-always recomputed from the reconstructed residual p*f - 1 and must agree
-with the solver's 1 - Re(v^H c) to one part in 1e9, which catches silent
-cancellation.
+approximant p minimizes ||p*f - 1|| over span{e_i}.  Everything here is
+built on one operator, A = W^{1/2} M_f: a sparse matrix with one column per
+basis monomial and one row per monomial of the product grid, holding the
+coefficients of e_j * f scaled by the square roots of their weights.  The
+normal equations G c = v have G = A^H A and v = A^H e_0.
 
-``distance_scan`` produces the distance sequence over nested bases in one
-pass by factoring the largest Gram matrix once; in graded order each
-smaller basis is a prefix, so its Cholesky factor is the leading block.
+``distance_scan`` produces the distance sequence over nested bases.  In
+graded order every smaller basis is a prefix of the largest one and G is
+banded, with bandwidth about deg(f) * (n+1).  G is written straight into
+LAPACK band storage and factored once (banded Cholesky); one forward solve
+y = L^-1 v serves every row, because the factor of a prefix basis is the
+leading block of the full factor.  Each row then costs one banded back
+substitution for its coefficients.  This is the orthogonal-polynomial form
+of the problem: d_n^2 = 1 - sum_{i < N_n} |y_i|^2.
+
+Badly conditioned factors send the whole scan (or a single solve) to a QR
+least squares solve on the leading columns of A.  On either route the
+reported distance is recomputed from the reconstructed residual p*f - 1 and
+must agree with the solver's 1 - Re(v^H c) to one part in 1e9, which
+catches silent cancellation.
 
 ``closed_form_distance`` carries the two families with exact distance
 formulas (f = 1 - z1 and f = 1 - z1*z2), used as oracles in the tests.
@@ -27,10 +36,11 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import least_squares
 from scipy.special import zeta
 
-from ._kernels import gram_fill
 from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2
 from .spaces import SpaceSpec, norm_squared, weight_grid
@@ -112,7 +122,7 @@ def basis_monomials(spec: BasisSpec) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Gram assembly and solve
+# the weighted operator, Gram assembly and solve
 # ---------------------------------------------------------------------------
 
 
@@ -139,33 +149,77 @@ class ApproximantResult:
         return float(np.sqrt(self.distance_squared))
 
 
-def _assemble(f: Poly2, basis: list[tuple[int, int]], space: SpaceSpec):
+def _exponents(basis: Sequence[tuple[int, int]]) -> np.ndarray:
+    return np.array(basis, dtype=np.int64).reshape(-1, 2)
+
+
+def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.csc_matrix:
+    """A = W^{1/2} M_f: column j holds the coefficients of e_j * f, each
+    scaled by the square root of the weight of its monomial.
+
+    Rows run over the product grid in row-major order, so row 0 is the
+    constant monomial, whose weight is 1 in every space.  Hence
+    G = A^H A and ||p*f - 1||^2 = ||A c - e_0||^2.
+    """
     if f.is_zero:
         raise DegenerateInputError("approximants to 1/f need a nonzero f")
     m, n = f.bidegree
-    bk = np.array([k for k, _ in basis], dtype=np.int64)
-    bl = np.array([l for _, l in basis], dtype=np.int64)
+    width = int(exps[:, 1].max()) + n + 1
+    sqw = np.sqrt(weight_grid(space, int(exps[:, 0].max()) + m, width - 1)).ravel()
     fk, fl = np.nonzero(f.coeffs)
-    fv = np.ascontiguousarray(f.coeffs[fk, fl])
-    wtab = weight_grid(space, int(bk.max()) + m, int(bl.max()) + n)
-    g = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    gram_fill(bk, bl, fk.astype(np.int64), fl.astype(np.int64), fv, f.coeffs, wtab, g)
-    v = np.zeros(len(basis), dtype=np.complex128)
-    f00 = f[0, 0]
-    for i, (k, l) in enumerate(basis):
-        if k == 0 and l == 0:
-            v[i] = np.conj(f00)
-    return g, v
+    # the support comes in row-major order, so each column's rows are sorted
+    rows = (exps[:, :1] + fk) * width + (exps[:, 1:] + fl)
+    data = f.coeffs[fk, fl] * sqw[rows]
+    indptr = np.arange(0, rows.size + 1, fk.size)
+    return sparse.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(sqw.size, len(exps)))
+
+
+def _rhs(f: Poly2, size: int) -> np.ndarray:
+    """v[i] = <1, e_i f>; only the constant monomial, first in every basis
+    kind, reaches the target 1."""
+    v = np.zeros(size, dtype=np.complex128)
+    v[0] = np.conj(f[0, 0])
+    return v
 
 
 def assemble_gram(f: Poly2, spec: BasisSpec, space: SpaceSpec) -> GramSystem:
     basis = basis_monomials(spec)
-    g, v = _assemble(f, basis, space)
-    return GramSystem(f=f, space=space, basis_spec=spec, basis=basis, matrix=g, rhs=v)
+    a = _weighted_operator(f, _exponents(basis), space)
+    g = (a.conj().T @ a).toarray()
+    # the sparse product need not round mirrored entries alike
+    g = 0.5 * (g + g.conj().T)
+    return GramSystem(f=f, space=space, basis_spec=spec, basis=basis, matrix=g, rhs=_rhs(f, len(basis)))
 
 
-def _poly_from_basis(basis: Sequence[tuple[int, int]], c: np.ndarray) -> Poly2:
-    return Poly2.from_terms((k, l, c[i]) for i, (k, l) in enumerate(basis))
+def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
+    """G = A^H A in LAPACK lower band storage: band[i - j, j] = G[i, j]."""
+    low = sparse.tril(a.conj().T @ a, format="coo")
+    offset = low.row - low.col
+    band = np.zeros((int(offset.max()) + 1, a.shape[1]), dtype=np.complex128, order="F")
+    band[offset, low.col] = low.data
+    return band
+
+
+def _band_cholesky(band: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor in band storage, computed in place."""
+    low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"Gram matrix is not positive definite (leading minor {info})")
+    return low
+
+
+def _band_solve(low: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
+    """L x = b (trans "N") or L^H x = b (trans "C") for a banded factor."""
+    x, info = lapack.ztbtrs(low, b, uplo="L", trans=trans)
+    if info != 0:
+        raise NumericalError(f"banded triangular solve failed (info {info})")
+    return x
+
+
+def _poly_from_basis(exps: np.ndarray, c: np.ndarray) -> Poly2:
+    grid = np.zeros((exps[:, 0].max() + 1, exps[:, 1].max() + 1), dtype=np.complex128)
+    grid[exps[:, 0], exps[:, 1]] = c
+    return Poly2(grid)
 
 
 def _cholesky_factor(g: np.ndarray) -> np.ndarray:
@@ -175,54 +229,48 @@ def _cholesky_factor(g: np.ndarray) -> np.ndarray:
         raise NumericalError(f"Gram matrix is not positive definite: {exc}") from exc
 
 
-def _too_ill_conditioned(g: np.ndarray, low: np.ndarray) -> bool:
-    """True when back substitution through this factor cannot be trusted.
+def _too_ill_conditioned(diag: np.ndarray, trace: float) -> bool:
+    """True when back substitution through a factor with this diagonal
+    cannot be trusted.
 
-    Either a pivot has collapsed relative to the trace or the squared pivot
-    ratio exceeds the condition limit; both call for the least squares route.
+    Either a pivot has collapsed relative to the trace of G or the squared
+    pivot ratio exceeds the condition limit; both call for the least
+    squares route.
     """
-    pivots = np.real(np.diag(low)) ** 2
-    trace = float(np.real(np.trace(g)))
+    pivots = np.real(diag) ** 2
     if pivots.min() < PIVOT_REL_TOL * trace:
         return True
     return bool(pivots.max() / pivots.min() > CONDITION_LIMIT)
 
 
-def _solve_qr(f: Poly2, basis: Sequence[tuple[int, int]], space: SpaceSpec):
-    """Least squares on the weighted coefficient matrix of p -> p*f.
+def _solve_qr(a: sparse.csc_matrix, size: int):
+    """Least squares min ||A c - e_0|| over the leading size columns of A.
 
-    Returns (c, d2) where d2 is the squared least squares residual, which
-    is the distance value along this route.
+    Only the rows those columns reach (and row 0, where the target sits)
+    enter the dense problem.  Returns (c, d2) where d2 is the squared
+    least squares residual, which is the distance value along this route.
     """
-    m, n = f.bidegree
-    kmax = max(k for k, _ in basis) + m
-    lmax = max(l for _, l in basis) + n
-    w = weight_grid(space, kmax, lmax)
-    sqw = np.sqrt(w).ravel()
-    rows = (kmax + 1) * (lmax + 1)
-    a = np.zeros((rows, len(basis)), dtype=np.complex128)
-    for i, (k, l) in enumerate(basis):
-        shifted = np.zeros((kmax + 1, lmax + 1), dtype=np.complex128)
-        shifted[k : k + m + 1, l : l + n + 1] = f.coeffs
-        a[:, i] = shifted.ravel()
-    a *= sqw[:, None]
-    t = np.zeros(rows, dtype=np.complex128)
-    t[0] = sqw[0]  # the target 1 sits at exponent (0, 0)
-    c, *_ = np.linalg.lstsq(a, t, rcond=None)
-    d2 = float(np.linalg.norm(a @ c - t) ** 2)
+    sub = a[:, :size].tocoo()
+    rows, at = np.unique(np.append(sub.row, 0), return_inverse=True)
+    dense = np.zeros((rows.size, size), dtype=np.complex128)
+    dense[at[:-1], sub.col] = sub.data
+    t = np.zeros(rows.size, dtype=np.complex128)
+    t[0] = 1.0
+    c, *_ = np.linalg.lstsq(dense, t, rcond=None)
+    d2 = float(np.linalg.norm(dense @ c - t) ** 2)
     return c, d2
 
 
 def _finalize(
     f: Poly2,
     space: SpaceSpec,
-    basis: Sequence[tuple[int, int]],
+    exps: np.ndarray,
     spec: BasisSpec,
     c: np.ndarray,
     d2_formula: float,
     method: str,
 ) -> ApproximantResult:
-    p = _poly_from_basis(basis, c)
+    p = _poly_from_basis(exps, c)
     residual = p * f - 1.0
     d2 = norm_squared(residual, space)
     if abs(d2 - d2_formula) > AGREE_TOL * max(1.0, abs(d2), abs(d2_formula)):
@@ -243,16 +291,18 @@ def solve_normal_equations(system: GramSystem) -> ApproximantResult:
     solver's algebraic value serves as a cross-check only.
     """
     g, v = system.matrix, system.rhs
+    exps = _exponents(system.basis)
     low = _cholesky_factor(g)
-    if _too_ill_conditioned(g, low):
-        c, d2_formula = _solve_qr(system.f, system.basis, system.space)
+    if _too_ill_conditioned(np.diag(low), float(np.real(np.trace(g)))):
+        a = _weighted_operator(system.f, exps, system.space)
+        c, d2_formula = _solve_qr(a, len(system.basis))
         method = "qr"
     else:
-        y = np.linalg.solve(low, v)
-        c = np.linalg.solve(low.conj().T, y)
+        y = solve_triangular(low, v, lower=True)
+        c = solve_triangular(low, y, lower=True, trans="C")
         method = "cholesky"
         d2_formula = 1.0 - float(np.real(np.vdot(v, c)))
-    return _finalize(system.f, system.space, system.basis, system.basis_spec, c, d2_formula, method)
+    return _finalize(system.f, system.space, exps, system.basis_spec, c, d2_formula, method)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +317,7 @@ class ScanRow:
     distance_squared: float
     distance: float
     approximant: Optional[Poly2] = None
+    method: str = "cholesky"
 
 
 def distance_scan(
@@ -279,7 +330,9 @@ def distance_scan(
     """Distances from 1 to the approximant spaces for n = 0..n_max.
 
     family picks the nested basis sequence: "total" for total degree <= n,
-    "diagonal" for diagonal powers up to (z1*z2)^n.
+    "diagonal" for diagonal powers up to (z1*z2)^n.  One banded factor of
+    the largest Gram matrix and one forward solve serve every row; each row
+    then costs one banded back substitution and its residual self-check.
     """
     if n_max < 0:
         raise DegenerateInputError("n_max must be nonnegative")
@@ -291,24 +344,26 @@ def distance_scan(
         sizes = [n + 1 for n in range(n_max + 1)]
     else:
         raise DegenerateInputError(f"unknown scan family {family!r}")
-    system = assemble_gram(f, full, space)
-    g, v, basis = system.matrix, system.rhs, system.basis
-    low = _cholesky_factor(g)
-    use_qr = _too_ill_conditioned(g, low)
+    exps = _exponents(basis_monomials(full))
+    a = _weighted_operator(f, exps, space)
+    band = _gram_band(a)
+    trace = float(np.sum(band[0].real))
+    low = _band_cholesky(band)
+    use_qr = _too_ill_conditioned(low[0], trace)
+    v = _rhs(f, len(exps))
+    if not use_qr:
+        y = _band_solve(low, v, "N")
     rows = []
     for n, size in enumerate(sizes):
-        sub_basis = basis[:size]
         sub_spec = BasisSpec.total(n) if family == "total" else BasisSpec.diagonal(n)
         if use_qr:
-            c, d2_formula = _solve_qr(f, sub_basis, space)
+            c, d2_formula = _solve_qr(a, size)
             method = "qr"
         else:
-            lsub = low[:size, :size]
-            y = np.linalg.solve(lsub, v[:size])
-            c = np.linalg.solve(lsub.conj().T, y)
+            c = _band_solve(low[:, :size], y[:size], "C")
             method = "cholesky"
             d2_formula = 1.0 - float(np.real(np.vdot(v[:size], c)))
-        result = _finalize(f, space, sub_basis, sub_spec, c, d2_formula, method)
+        result = _finalize(f, space, exps[:size], sub_spec, c, d2_formula, method)
         rows.append(
             ScanRow(
                 n=n,
@@ -316,6 +371,7 @@ def distance_scan(
                 distance_squared=result.distance_squared,
                 distance=result.distance,
                 approximant=result.p if keep_approximants else None,
+                method=method,
             )
         )
     return rows
@@ -440,13 +496,18 @@ def decay_diagnostic(ds: Sequence[float], config: DecayConfig = DecayConfig()) -
     The sequence must be non-increasing (up to 1e-10 slack) with at least 8
     entries.  Two zero-asymptote models and one positive-limit model are
     fitted; the positive limit is reported only when its fit is good and the
-    limit is a credible floor for the observed tail.
+    limit is a credible floor for the observed tail.  A sequence that starts
+    at zero (a constant f) is decaying with the exact limit 0 and no fit.
     """
     y = np.asarray(ds, dtype=np.float64)
     if y.size < 8:
         raise DegenerateInputError("decay diagnostic needs at least 8 values")
     if np.any(np.diff(y) > 1e-10):
         raise DegenerateInputError("distance sequence must be non-increasing")
+    if y[0] <= 1e-14:
+        # d_0^2 = 1 - |f(0)|^2 / ||f||^2 vanishes only for a constant f,
+        # whose approximants reach 1/f exactly
+        return DecayVerdict("decaying", 0.0, "exact", (), 0.0)
     if np.any(y <= 0):
         raise DegenerateInputError("distance sequence must be positive")
     n = np.arange(1.0, y.size + 1.0)  # shift away from zero for the models

@@ -13,6 +13,7 @@ import scipy.special
 from bidisk.approximant import (
     BasisSpec,
     DecayConfig,
+    DecayVerdict,
     assemble_gram,
     basis_monomials,
     closed_form_distance,
@@ -219,6 +220,30 @@ def test_scan_rotation_invariant(rng):
         assert rb.distance_squared == pytest.approx(ra.distance_squared, abs=1e-10)
 
 
+@pytest.mark.parametrize("family", ["total", "diagonal"])
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.5, 3.0])
+def test_banded_scan_matches_dense_solves(rng, family, alpha):
+    # the banded scan against one dense factorization per row
+    sp = iso(alpha)
+    n_max = 6 if family == "total" else 8
+    spec = BasisSpec.total if family == "total" else BasisSpec.diagonal
+    for _ in range(3):
+        f = random_poly(rng, max_deg=3) + Poly2.const(2.0)
+        rows = distance_scan(f, sp, n_max, family=family)
+        for row in rows:
+            dense = solve_normal_equations(assemble_gram(f, spec(row.n), sp))
+            assert row.method == dense.method == "cholesky"
+            assert row.distance_squared == pytest.approx(dense.distance_squared, rel=1e-12)
+
+
+def test_scan_at_total_degree_150_matches_closed_form():
+    rows = distance_scan(P("1 - z1"), iso(1.0), 150)
+    assert rows[-1].basis_size == 151 * 152 // 2
+    for row in rows:
+        want = closed_form_distance("one_minus_z1", 1.0, row.n)
+        assert row.distance_squared == pytest.approx(want, rel=1e-9)
+
+
 def test_diagonal_family_scan():
     f = P("1 - z1*z2")
     rows = distance_scan(f, iso(1.0), 10, family="diagonal")
@@ -264,6 +289,11 @@ def test_decay_preconditions():
         decay_diagnostic([1.0, 0.5, 0.25])  # too short
     with pytest.raises(DegenerateInputError):
         decay_diagnostic([0.5, 0.6] + [0.4] * 8)  # increasing step
+
+
+def test_decay_zero_sequence_is_exact():
+    v = decay_diagnostic([0.0] * 10)
+    assert v == DecayVerdict("decaying", 0.0, "exact", (), 0.0)
 
 
 def test_decay_plateau_floor_config():
@@ -322,6 +352,17 @@ def test_qr_fallback_on_ill_conditioned_system():
     assert res.distance_squared == pytest.approx(
         closed_form_distance("one_minus_z1", -8.0, 40), rel=1e-6
     )
+
+
+def test_scan_qr_route_matches_closed_form():
+    # at alpha = -8 the nmax 40 factor trips the pivot gate, so every row
+    # of the scan takes the least squares route on the weighted operator
+    rows = distance_scan(P("1 - z1"), iso(-8.0), 40)
+    assert len(rows) == 41
+    for row in rows:
+        assert row.method == "qr"
+        want = closed_form_distance("one_minus_z1", -8.0, row.n)
+        assert row.distance_squared == pytest.approx(want, rel=1e-6)
 
 
 def test_solver_rejects_singular_system():

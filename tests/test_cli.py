@@ -177,6 +177,17 @@ def test_classify_override_recovers(capsys):
     assert json.loads(out)["predicted"] == "cyclic"
 
 
+def test_classify_constant_is_cyclic(capsys):
+    # every d_n is 0 for a constant, so the decay fit has nothing to fit
+    code, out, err = run(capsys, "classify", "-p", "1", "--alpha", "1")
+    assert code == 0
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["predicted"] == "cyclic"
+    assert doc["empirical"]["label"] == "decaying"
+    assert doc["consistent"] is True
+
+
 def test_classify_factors_product(capsys):
     code, out, _ = run(
         capsys,

@@ -91,6 +91,21 @@ def test_evaluate_broadcasts(rng):
         assert vals[i] == pytest.approx(p.evaluate(z1[i], z2[i]))
 
 
+def test_evaluate_scalar_matches_numpy_kernel_exactly(rng):
+    # the one-point route reorders the loops, not the arithmetic
+    from bidisk._kernels import _eval_points_numpy
+
+    for _ in range(30):
+        p = random_poly(rng, max_deg=12)
+        z1, z2 = random_bidisk_points(rng, 5)
+        out = np.empty(5, dtype=np.complex128)
+        _eval_points_numpy(p.coeffs, z1, z2, out)
+        for i in range(5):
+            val = p.evaluate(complex(z1[i]), complex(z2[i]))
+            assert isinstance(val, complex)
+            assert val == out[i]
+
+
 def test_mul_commutative_associative(rng):
     for _ in range(25):
         a = random_poly(rng, max_deg=6)
