@@ -43,7 +43,7 @@ from .expr import parse_polynomial, to_expression
 from .formatting import round_floats, sig12
 from .poly import Poly2, poly2_from_json_dict, poly2_to_json_dict
 from .prooflab import q_smoothness, recurrence_residuals
-from .spaces import SpaceSpec, aniso, compare_norms, iso, uni
+from .spaces import SpaceSpec, aniso, compare_norms, iso
 from .zeroset import GridConfig, TolConfig, bidisk_zero_search, torus_zeros
 
 __all__ = ["main"]
@@ -185,11 +185,7 @@ def _emit_json(obj, out: Optional[str]) -> None:
 
 
 def _space(kind: str, alpha: float) -> SpaceSpec:
-    if kind == "iso":
-        return iso(alpha)
-    if kind == "aniso":
-        return aniso(alpha)
-    return uni(alpha)
+    return iso(alpha) if kind == "iso" else aniso(alpha)
 
 
 def _basis(args) -> BasisSpec:
@@ -432,7 +428,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nmax", type=int, required=True, help="basis degree bound")
     p.add_argument("--family", choices=["total", "box", "diagonal"], default="total")
     p.add_argument("--n2", type=int, help="second bound for the box family")
-    p.add_argument("--space", choices=["iso", "aniso", "uni"], default="iso")
+    p.add_argument("--space", choices=["iso", "aniso"], default="iso")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_opa)
 

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._kernels import eval_points
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -50,18 +49,24 @@ def _trim_grid(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr[: rows[-1] + 1, : cols[-1] + 1])
 
 
-def _eval_one(c: np.ndarray, z1: complex, z2: complex) -> complex:
-    """c at one point in m + n array steps instead of the m * n of
-    ``eval_points``: Horner in z2 runs over every row of c at once, then
-    Horner in z1 over the row values.  Each value goes through the same
-    numpy operations, in the same order, as in the numpy kernel."""
-    row = np.zeros(c.shape[0], dtype=np.complex128)
+def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
+    """c at the points (z1, z2), broadcast against each other.
+
+    Horner in z2 runs over every coefficient row at once, giving an array of
+    shape ``(m+1,) + z2.shape``; Horner in z1 then runs over those rows.
+    Every value goes through the same numpy operations, in the same order,
+    as in a per-point Horner in z2 inside Horner in z1, so it does not
+    depend on the shapes of z1 and z2: a product grid ``z1[:, None], z2``
+    computes each row value once per z2 point and gives the same bits.
+    """
+    rows = np.zeros((c.shape[0],) + z2.shape, dtype=np.complex128)
+    cols = c.reshape(c.shape + (1,) * z2.ndim)
     for l in range(c.shape[1] - 1, -1, -1):
-        row = row * z2 + c[:, l]
-    acc = np.zeros(1, dtype=np.complex128)
+        rows = rows * z2 + cols[:, l]
+    acc = np.zeros(np.broadcast_shapes(z1.shape, z2.shape), dtype=np.complex128)
     for k in range(c.shape[0] - 1, -1, -1):
-        acc = acc * z1 + row[k]
-    return complex(acc[0])
+        acc = acc * z1 + rows[k]
+    return acc
 
 
 class Poly2:
@@ -220,17 +225,14 @@ class Poly2:
 
     def evaluate(self, z1, z2):
         """Evaluate at scalars or broadcastable arrays of points."""
-        z1a = np.asarray(z1, dtype=np.complex128)
-        z2a = np.asarray(z2, dtype=np.complex128)
-        if z1a.ndim == 0 and z2a.ndim == 0:
-            return _eval_one(self.coeffs, complex(z1a), complex(z2a))
-        z1b, z2b = np.broadcast_arrays(z1a, z2a)
-        shape = z1b.shape
-        flat1 = np.ascontiguousarray(z1b).ravel()
-        flat2 = np.ascontiguousarray(z2b).ravel()
-        out = np.empty(flat1.shape, dtype=np.complex128)
-        eval_points(self.coeffs, flat1, flat2, out)
-        return out.reshape(shape)
+        out = _horner(
+            self.coeffs,
+            np.asarray(z1, dtype=np.complex128),
+            np.asarray(z2, dtype=np.complex128),
+        )
+        if np.ndim(out) == 0:
+            return complex(out)
+        return out
 
     # -- misc ---------------------------------------------------------
 

@@ -25,7 +25,6 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from ._kernels import eval_points
 from .errors import DegenerateInputError, InconclusiveError
 from .operators import reflect, slice_z1
 from .poly import Poly1, Poly2, coeff_norm, proportional
@@ -196,6 +195,17 @@ class GridConfig:
     newton_steps: int = 60
     resid_tol: float = 1e-8
 
+    def __post_init__(self):
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        for name in ("radii", "angles", "coarse_radii", "coarse_angles", "refine_top"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.newton_steps < 0:
+            raise ValueError(f"newton_steps must be nonnegative, got {self.newton_steps}")
+        if not self.resid_tol > 0.0:
+            raise ValueError(f"resid_tol must be positive, got {self.resid_tol}")
+
     def to_json_dict(self) -> dict:
         return {
             "delta": self.delta,
@@ -237,20 +247,18 @@ def _polar_points(rmax: float, nr: int, na: int) -> np.ndarray:
 def _topk_product(p: Poly2, pts1: np.ndarray, pts2: np.ndarray, k: int, chunk: int = 64):
     """The k smallest |p| values over the product grid pts1 x pts2.
 
-    Returns a list of (value, z1, z2) sorted by value.
+    Returns a list of (value, z1, z2) sorted by value.  The grid is
+    evaluated ``chunk`` points of pts1 at a time, which bounds the memory,
+    and each chunk contributes its own k smallest values.
     """
     n2 = pts2.size
     found: list[tuple[float, complex, complex]] = []
     for start in range(0, pts1.size, chunk):
         block = pts1[start : start + chunk]
-        z1 = np.ascontiguousarray(np.broadcast_to(block[:, None], (block.size, n2)).ravel())
-        z2 = np.ascontiguousarray(np.broadcast_to(pts2[None, :], (block.size, n2)).ravel())
-        out = np.empty(z1.size, dtype=np.complex128)
-        eval_points(p.coeffs, z1, z2, out)
-        vals = np.abs(out)
+        vals = np.abs(p.evaluate(block[:, None], pts2)).ravel()
         take = min(k, vals.size)
         sel = np.argpartition(vals, take - 1)[:take]
-        found.extend((float(vals[s]), complex(z1[s]), complex(z2[s])) for s in sel)
+        found.extend((float(vals[s]), complex(block[s // n2]), complex(pts2[s % n2])) for s in sel)
     found.sort(key=lambda t: t[0])
     return found[:k]
 

@@ -79,6 +79,16 @@ def test_opa_single_alpha_required(capsys):
     assert "single alpha" in err
 
 
+def test_opa_univariate_space_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "opa", "-p", "1 - z1", "--alpha", "1", "--nmax", "4", "--space", "uni"
+    )
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------- scan
 
 
@@ -121,6 +131,14 @@ def test_zeros_interior_zero(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bidisk"]["bidisk"] == "zero_found"
+
+
+@pytest.mark.parametrize("setting", ["delta=2", "delta=-1", "coarse_radii=0", "coarse_angles=0", "refine_top=0"])
+def test_zeros_out_of_range_grid_is_an_input_error(capsys, setting):
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: " + setting.split("=")[0])
 
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):

@@ -91,19 +91,72 @@ def test_evaluate_broadcasts(rng):
         assert vals[i] == pytest.approx(p.evaluate(z1[i], z2[i]))
 
 
-def test_evaluate_scalar_matches_numpy_kernel_exactly(rng):
-    # the one-point route reorders the loops, not the arithmetic
-    from bidisk._kernels import _eval_points_numpy
+def _reference_horner(c, z1, z2):
+    """Horner in z2 inside Horner in z1, over flat arrays of points: the
+    numpy kernel that Poly2.evaluate replaced, kept as the exact reference."""
+    acc = np.zeros_like(z1, dtype=np.complex128)
+    for k in range(c.shape[0] - 1, -1, -1):
+        row = np.zeros_like(z2, dtype=np.complex128)
+        for l in range(c.shape[1] - 1, -1, -1):
+            row = row * z2 + c[k, l]
+        acc = acc * z1 + row
+    return acc
 
+
+def _reference_grid(c, z1, z2):
+    """The reference on the flattened product grid z1 x z2, z1 major."""
+    return _reference_horner(c, np.repeat(z1, z2.size), np.tile(z2, z1.size))
+
+
+def test_evaluate_scalar_matches_numpy_kernel_exactly(rng):
+    # broadcasting reorders the loops, not the arithmetic
     for _ in range(30):
         p = random_poly(rng, max_deg=12)
         z1, z2 = random_bidisk_points(rng, 5)
-        out = np.empty(5, dtype=np.complex128)
-        _eval_points_numpy(p.coeffs, z1, z2, out)
+        ref = _reference_horner(p.coeffs, z1, z2)
         for i in range(5):
             val = p.evaluate(complex(z1[i]), complex(z2[i]))
             assert isinstance(val, complex)
-            assert val == out[i]
+            assert val == ref[i]
+
+
+def test_evaluate_arrays_match_reference_exactly(rng):
+    for _ in range(30):
+        p = random_poly(rng, max_deg=12)
+        z1, z2 = random_bidisk_points(rng, 40)
+        assert np.array_equal(p.evaluate(z1, z2), _reference_horner(p.coeffs, z1, z2))
+
+
+def test_evaluate_product_grid_matches_reference_exactly(rng):
+    for _ in range(30):
+        p = random_poly(rng, max_deg=12)
+        z1, _ = random_bidisk_points(rng, 23)
+        _, z2 = random_bidisk_points(rng, 31)
+        grid = p.evaluate(z1[:, None], z2)
+        assert grid.shape == (23, 31)
+        assert np.array_equal(grid.ravel(), _reference_grid(p.coeffs, z1, z2))
+
+
+def test_topk_product_matches_reference_exactly(rng):
+    from bidisk.zeroset import _topk_product
+
+    def reference_topk(c, pts1, pts2, k, chunk=64):
+        found = []
+        for start in range(0, pts1.size, chunk):
+            block = pts1[start : start + chunk]
+            z1, z2 = np.repeat(block, pts2.size), np.tile(pts2, block.size)
+            vals = np.abs(_reference_horner(c, z1, z2))
+            take = min(k, vals.size)
+            sel = np.argpartition(vals, take - 1)[:take]
+            found.extend((float(vals[s]), complex(z1[s]), complex(z2[s])) for s in sel)
+        found.sort(key=lambda t: t[0])
+        return found[:k]
+
+    for _ in range(10):
+        p = random_poly(rng, max_deg=12)
+        pts1, _ = random_bidisk_points(rng, 150)
+        _, pts2 = random_bidisk_points(rng, 37)
+        assert _topk_product(p, pts1, pts2, 10) == reference_topk(p.coeffs, pts1, pts2, 10)
 
 
 def test_mul_commutative_associative(rng):

@@ -206,6 +206,36 @@ def test_bidisk_respects_delta_override():
     assert rep.min_modulus == pytest.approx(0.1, rel=5e-2)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"delta": 0.0},
+        {"delta": 1.0},
+        {"delta": 2.0},
+        {"delta": -1.0},
+        {"delta": float("nan")},
+        {"radii": 0},
+        {"angles": 0},
+        {"coarse_radii": 0},
+        {"coarse_angles": 0},
+        {"refine_top": 0},
+        {"newton_steps": -1},
+        {"resid_tol": 0.0},
+        {"resid_tol": -1e-8},
+    ],
+)
+def test_grid_config_rejects_out_of_range(override):
+    with pytest.raises(ValueError, match=next(iter(override))):
+        GridConfig(**override)
+
+
+def test_grid_config_smallest_valid_grid_searches():
+    grid = GridConfig(radii=1, angles=1, coarse_radii=1, coarse_angles=1, refine_top=1, newton_steps=0)
+    rep = bidisk_zero_search(P("2 - z1 - z2"), grid)
+    assert rep.kind == "none_found_heuristic"
+    assert rep.min_modulus == pytest.approx(2e-3)
+
+
 def test_bidisk_nonvanishing_constant():
     rep = bidisk_zero_search(P("1"))
     assert rep.kind == "none_found_heuristic"
