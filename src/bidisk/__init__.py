@@ -13,15 +13,13 @@ from .approximant import (
     BasisSpec,
     DecayConfig,
     DecayVerdict,
-    GramSystem,
     ScanRow,
-    assemble_gram,
     basis_monomials,
     closed_form_distance,
     decay_diagnostic,
     distance_scan,
     evaluation_bound_certificate,
-    solve_normal_equations,
+    optimal_approximant,
 )
 from .classify import ClassificationReport, Prediction, corroborate, predict, product_rule
 from .errors import (
@@ -84,7 +82,6 @@ __all__ = [
     "DecayConfig",
     "DecayVerdict",
     "DegenerateInputError",
-    "GramSystem",
     "GridConfig",
     "InconclusiveError",
     "NormTriple",
@@ -102,7 +99,6 @@ __all__ = [
     "TorusZeroClass",
     "aberth_roots",
     "aniso",
-    "assemble_gram",
     "basis_monomials",
     "bidisk_zero_search",
     "build_numerator_g",
@@ -118,6 +114,7 @@ __all__ = [
     "inner_product",
     "iso",
     "norm_squared",
+    "optimal_approximant",
     "parse_polynomial",
     "poly2_from_json_dict",
     "poly2_to_json_dict",
@@ -133,7 +130,6 @@ __all__ = [
     "rotate",
     "slice_z1",
     "slice_z2",
-    "solve_normal_equations",
     "to_expression",
     "torus_zeros",
     "uni",

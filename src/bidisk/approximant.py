@@ -7,20 +7,22 @@ basis monomial and one row per monomial of the product grid, holding the
 coefficients of e_j * f scaled by the square roots of their weights.  The
 normal equations G c = v have G = A^H A and v = A^H e_0.
 
-``distance_scan`` produces the distance sequence over nested bases.  In
-graded order every smaller basis is a prefix of the largest one and G is
-banded, with bandwidth about deg(f) * (n+1).  G is written straight into
-LAPACK band storage and factored once (banded Cholesky); one forward solve
-y = L^-1 v serves every row, because the factor of a prefix basis is the
-leading block of the full factor.  Each row then costs one banded back
-substitution for its coefficients.  This is the orthogonal-polynomial form
-of the problem: d_n^2 = 1 - sum_{i < N_n} |y_i|^2.
+Every solve goes through one prefix solver.  In graded order every smaller
+basis is a prefix of the largest one, and G is banded, with bandwidth about
+deg(f) * (n+1).  G is written straight into LAPACK band storage and
+factored once (banded Cholesky); one forward solve y = L^-1 v serves every
+prefix, because the factor of a prefix basis is the leading block of the
+full factor.  Each prefix then costs one banded back substitution for its
+coefficients.  This is the orthogonal-polynomial form of the problem:
+d_n^2 = 1 - sum_{i < N_n} |y_i|^2.  ``optimal_approximant`` asks for the
+full basis, ``distance_scan`` for every prefix of the nested bases.
 
-Badly conditioned factors send the whole scan (or a single solve) to a QR
-least squares solve on the leading columns of A.  On either route the
-reported distance is recomputed from the reconstructed residual p*f - 1 and
-must agree with the solver's 1 - Re(v^H c) to one part in 1e9, which
-catches silent cancellation.
+When the Cholesky pivots are too uneven to trust, the solver instead runs
+one Householder QR of A over the rows A reaches, keeping R and y = Q^H e_0;
+each prefix is then one back substitution R_s c = y_s, with least squares
+value 1 - sum_{i < s} |y_i|^2.  On either route the reported distance is
+recomputed from the reconstructed residual p*f - 1 and must agree with the
+solver's value to one part in 1e9, which catches silent cancellation.
 
 ``closed_form_distance`` carries the two families with exact distance
 formulas (f = 1 - z1 and f = 1 - z1*z2), used as oracles in the tests.
@@ -37,7 +39,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack, qr, solve_triangular
 from scipy.optimize import least_squares
 from scipy.special import zeta
 
@@ -47,11 +49,9 @@ from .spaces import SpaceSpec, norm_squared, weight_grid
 
 __all__ = [
     "BasisSpec",
-    "GramSystem",
     "ApproximantResult",
     "basis_monomials",
-    "assemble_gram",
-    "solve_normal_equations",
+    "optimal_approximant",
     "distance_scan",
     "ScanRow",
     "closed_form_distance",
@@ -122,18 +122,8 @@ def basis_monomials(spec: BasisSpec) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# the weighted operator, Gram assembly and solve
+# the weighted operator and the prefix solver
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GramSystem:
-    f: Poly2
-    space: SpaceSpec
-    basis_spec: BasisSpec
-    basis: list[tuple[int, int]]
-    matrix: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -182,15 +172,6 @@ def _rhs(f: Poly2, size: int) -> np.ndarray:
     return v
 
 
-def assemble_gram(f: Poly2, spec: BasisSpec, space: SpaceSpec) -> GramSystem:
-    basis = basis_monomials(spec)
-    a = _weighted_operator(f, _exponents(basis), space)
-    g = (a.conj().T @ a).toarray()
-    # the sparse product need not round mirrored entries alike
-    g = 0.5 * (g + g.conj().T)
-    return GramSystem(f=f, space=space, basis_spec=spec, basis=basis, matrix=g, rhs=_rhs(f, len(basis)))
-
-
 def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
     """G = A^H A in LAPACK lower band storage: band[i - j, j] = G[i, j]."""
     low = sparse.tril(a.conj().T @ a, format="coo")
@@ -222,13 +203,6 @@ def _poly_from_basis(exps: np.ndarray, c: np.ndarray) -> Poly2:
     return Poly2(grid)
 
 
-def _cholesky_factor(g: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram matrix is not positive definite: {exc}") from exc
-
-
 def _too_ill_conditioned(diag: np.ndarray, trace: float) -> bool:
     """True when back substitution through a factor with this diagonal
     cannot be trusted.
@@ -243,22 +217,51 @@ def _too_ill_conditioned(diag: np.ndarray, trace: float) -> bool:
     return bool(pivots.max() / pivots.min() > CONDITION_LIMIT)
 
 
-def _solve_qr(a: sparse.csc_matrix, size: int):
-    """Least squares min ||A c - e_0|| over the leading size columns of A.
+def _householder(a: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """R and y = Q^H e_0 from one Householder QR of [A | e_0].
 
-    Only the rows those columns reach (and row 0, where the target sits)
-    enter the dense problem.  Returns (c, d2) where d2 is the squared
-    least squares residual, which is the distance value along this route.
+    Only the rows A reaches (and row 0, where the target sits) enter.  Q is
+    never formed: Q^H e_0 is the last column of the augmented factor.
     """
-    sub = a[:, :size].tocoo()
-    rows, at = np.unique(np.append(sub.row, 0), return_inverse=True)
-    dense = np.zeros((rows.size, size), dtype=np.complex128)
-    dense[at[:-1], sub.col] = sub.data
-    t = np.zeros(rows.size, dtype=np.complex128)
-    t[0] = 1.0
-    c, *_ = np.linalg.lstsq(dense, t, rcond=None)
-    d2 = float(np.linalg.norm(dense @ c - t) ** 2)
-    return c, d2
+    reached = np.union1d(a.indices, 0)
+    aug = np.zeros((reached.size, a.shape[1] + 1), dtype=np.complex128)
+    aug[:, :-1] = a.tocsr()[reached].toarray()
+    aug[0, -1] = 1.0
+    (r,) = qr(aug, mode="r", overwrite_a=True)
+    return r[:, :-1], r[:, -1]
+
+
+def _prefix_solver(f: Poly2, exps: np.ndarray, space: SpaceSpec):
+    """Factor the approximant problem on the basis exps once.
+
+    Returns (method, solve), where solve(size) gives the coefficients on the
+    leading size monomials and the solver's distance value.  The factor of
+    a leading block of the basis is the leading block of the factor, so
+    each call is one triangular back substitution: through the banded
+    Cholesky factor of G, or through R of A = QR when that factor is too
+    ill conditioned to trust.
+    """
+    a = _weighted_operator(f, exps, space)
+    band = _gram_band(a)
+    trace = float(np.sum(band[0].real))
+    low = _band_cholesky(band)
+    if _too_ill_conditioned(low[0], trace):
+        r, y = _householder(a)
+
+        def solve(size: int):
+            c = solve_triangular(r[:size, :size], y[:size])
+            return c, 1.0 - float(np.real(np.vdot(y[:size], y[:size])))
+
+        return "qr", solve
+
+    v = _rhs(f, len(exps))
+    y = _band_solve(low, v, "N")
+
+    def solve(size: int):
+        c = _band_solve(low[:, :size], y[:size], "C")
+        return c, 1.0 - float(np.real(np.vdot(v[:size], c)))
+
+    return "cholesky", solve
 
 
 def _finalize(
@@ -284,25 +287,15 @@ def _finalize(
     )
 
 
-def solve_normal_equations(system: GramSystem) -> ApproximantResult:
-    """Best approximant for the assembled system.
+def optimal_approximant(f: Poly2, spec: BasisSpec, space: SpaceSpec) -> ApproximantResult:
+    """Best approximant to 1/f on the basis spec.
 
     The distance reported is the norm of the reconstructed residual; the
     solver's algebraic value serves as a cross-check only.
     """
-    g, v = system.matrix, system.rhs
-    exps = _exponents(system.basis)
-    low = _cholesky_factor(g)
-    if _too_ill_conditioned(np.diag(low), float(np.real(np.trace(g)))):
-        a = _weighted_operator(system.f, exps, system.space)
-        c, d2_formula = _solve_qr(a, len(system.basis))
-        method = "qr"
-    else:
-        y = solve_triangular(low, v, lower=True)
-        c = solve_triangular(low, y, lower=True, trans="C")
-        method = "cholesky"
-        d2_formula = 1.0 - float(np.real(np.vdot(v, c)))
-    return _finalize(system.f, system.space, exps, system.basis_spec, c, d2_formula, method)
+    exps = _exponents(basis_monomials(spec))
+    method, solve = _prefix_solver(f, exps, space)
+    return _finalize(f, space, exps, spec, *solve(len(exps)), method)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,6 @@ class ScanRow:
     basis_size: int
     distance_squared: float
     distance: float
-    approximant: Optional[Poly2] = None
     method: str = "cholesky"
 
 
@@ -325,55 +317,30 @@ def distance_scan(
     space: SpaceSpec,
     n_max: int,
     family: Literal["total", "diagonal"] = "total",
-    keep_approximants: bool = False,
 ) -> list[ScanRow]:
     """Distances from 1 to the approximant spaces for n = 0..n_max.
 
     family picks the nested basis sequence: "total" for total degree <= n,
-    "diagonal" for diagonal powers up to (z1*z2)^n.  One banded factor of
-    the largest Gram matrix and one forward solve serve every row; each row
-    then costs one banded back substitution and its residual self-check.
+    "diagonal" for diagonal powers up to (z1*z2)^n.  One factorization for
+    the largest basis serves every row; each row then costs one back
+    substitution and its residual self-check.
     """
     if n_max < 0:
         raise DegenerateInputError("n_max must be nonnegative")
     if family == "total":
-        full = BasisSpec.total(n_max)
+        spec = BasisSpec.total
         sizes = [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)]
     elif family == "diagonal":
-        full = BasisSpec.diagonal(n_max)
+        spec = BasisSpec.diagonal
         sizes = [n + 1 for n in range(n_max + 1)]
     else:
         raise DegenerateInputError(f"unknown scan family {family!r}")
-    exps = _exponents(basis_monomials(full))
-    a = _weighted_operator(f, exps, space)
-    band = _gram_band(a)
-    trace = float(np.sum(band[0].real))
-    low = _band_cholesky(band)
-    use_qr = _too_ill_conditioned(low[0], trace)
-    v = _rhs(f, len(exps))
-    if not use_qr:
-        y = _band_solve(low, v, "N")
+    exps = _exponents(basis_monomials(spec(n_max)))
+    method, solve = _prefix_solver(f, exps, space)
     rows = []
     for n, size in enumerate(sizes):
-        sub_spec = BasisSpec.total(n) if family == "total" else BasisSpec.diagonal(n)
-        if use_qr:
-            c, d2_formula = _solve_qr(a, size)
-            method = "qr"
-        else:
-            c = _band_solve(low[:, :size], y[:size], "C")
-            method = "cholesky"
-            d2_formula = 1.0 - float(np.real(np.vdot(v[:size], c)))
-        result = _finalize(f, space, exps[:size], sub_spec, c, d2_formula, method)
-        rows.append(
-            ScanRow(
-                n=n,
-                basis_size=size,
-                distance_squared=result.distance_squared,
-                distance=result.distance,
-                approximant=result.p if keep_approximants else None,
-                method=method,
-            )
-        )
+        result = _finalize(f, space, exps[:size], spec(n), *solve(size), method)
+        rows.append(ScanRow(n, size, result.distance_squared, result.distance, method))
     return rows
 
 
@@ -436,6 +403,16 @@ class DecayConfig:
     # the final sequence value; log-slow decays otherwise masquerade as
     # plateaus over finite windows
     plateau_credibility: float = 0.8
+
+    def __post_init__(self):
+        if not 0.0 <= self.plateau_floor < np.inf:
+            raise ValueError(f"plateau_floor must be finite and nonnegative, got {self.plateau_floor}")
+        if not 0.0 < self.fit_tol < np.inf:
+            raise ValueError(f"fit_tol must be finite and positive, got {self.fit_tol}")
+        for name in ("drop_ratio", "plateau_credibility"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
-from .approximant import (
-    BasisSpec,
-    DecayConfig,
-    assemble_gram,
-    distance_scan,
-    solve_normal_equations,
-)
+from .approximant import BasisSpec, DecayConfig, distance_scan, optimal_approximant
 from .classify import corroborate, predict, product_rule
 from .errors import (
     ConvergenceError,
@@ -112,19 +108,23 @@ def _single_alpha(args) -> float:
     return alphas[0]
 
 
-_TOL_KEYS = {"circle_tol", "resid_tol", "proportional_tol", "cluster_tol"}
-_GRID_KEYS = {
-    "delta",
-    "radii",
-    "angles",
-    "coarse_radii",
-    "coarse_angles",
-    "refine_top",
-    "newton_steps",
-    "resid_tol",
+_CONFIG_CLASSES = (TolConfig, GridConfig, DecayConfig)
+# every override key with the type of its field (int or float)
+_CONFIG_KINDS = {
+    fld.name: type(fld.default) for cls in _CONFIG_CLASSES for fld in dataclasses.fields(cls)
 }
-_DECAY_KEYS = {"plateau_floor", "fit_tol", "drop_ratio", "plateau_credibility"}
-_INT_KEYS = {"radii", "angles", "coarse_radii", "coarse_angles", "refine_top", "newton_steps"}
+
+
+def _config_value(key: str, value) -> float:
+    """An override as the int or float its field holds; ranges are checked
+    by the config classes themselves."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"config value for {key!r} must be a number, got {value!r}")
+    if _CONFIG_KINDS[key] is float:
+        return float(value)
+    if not (math.isfinite(value) and value == int(value)):
+        raise ParseError(f"config value for {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _gather_overrides(args) -> dict[str, float]:
@@ -148,26 +148,19 @@ def _gather_overrides(args) -> dict[str, float]:
             overrides[key.strip()] = float(value)
         except ValueError:
             raise _UsageError(f"--set value for {key!r} must be a number") from None
-    known = _TOL_KEYS | _GRID_KEYS | _DECAY_KEYS
     for key in overrides:
-        if key not in known:
+        if key not in _CONFIG_KINDS:
             raise _UsageError(f"unknown config key {key!r}")
-    return overrides
+    return {key: _config_value(key, value) for key, value in overrides.items()}
 
 
 def _build_configs(overrides: dict[str, float]):
-    def pick(keys, cls):
-        kwargs = {}
-        for k in keys:
-            if k in overrides:
-                kwargs[k] = int(overrides[k]) if k in _INT_KEYS else float(overrides[k])
-        return cls(**kwargs)
+    """(TolConfig, GridConfig, DecayConfig), each with the overrides it has."""
+    def pick(cls):
+        names = {fld.name for fld in dataclasses.fields(cls)}
+        return cls(**{k: v for k, v in overrides.items() if k in names})
 
-    return (
-        pick(_TOL_KEYS, TolConfig),
-        pick(_GRID_KEYS, GridConfig),
-        pick(_DECAY_KEYS, DecayConfig),
-    )
+    return tuple(pick(cls) for cls in _CONFIG_CLASSES)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -217,8 +210,7 @@ def _cmd_opa(args) -> int:
     f = _load_poly(args)
     alpha = _single_alpha(args)
     space = _space(args.space, alpha)
-    system = assemble_gram(f, _basis(args), space)
-    result = solve_normal_equations(system)
+    result = optimal_approximant(f, _basis(args), space)
     report = {
         "polynomial": poly2_to_json_dict(f),
         "space": {"kind": space.kind, "alpha": space.alpha},

@@ -20,7 +20,7 @@ point inside the search region) or the smallest modulus seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal, Optional
 
 import numpy as np
@@ -47,6 +47,12 @@ class TolConfig:
     resid_tol: float = 1e-8
     proportional_tol: float = 1e-8
     cluster_tol: float = 1e-5
+
+    def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{fld.name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import pytest
 from bidisk import (
     BasisSpec,
     Poly2,
-    assemble_gram,
     bidisk_zero_search,
     compare_norms,
     corroborate,
@@ -26,13 +25,13 @@ from bidisk import (
     iso,
     aniso,
     norm_squared,
+    optimal_approximant,
     parse_polynomial,
     recurrence_residuals,
     reflect,
     resultant_z2,
     rotate,
     slice_z1,
-    solve_normal_equations,
     q_smoothness,
     torus_zeros,
     uni,
@@ -57,7 +56,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _solve(f, spec, space):
-    return solve_normal_equations(assemble_gram(f, spec, space))
+    return optimal_approximant(f, spec, space)
 
 
 def test_criterion_1_univariate_closed_form():

@@ -3,24 +3,30 @@
 The closed forms for 1 - z1 and 1 - z1*z2 are validated here against a
 brute-force path that shares no code with the production solver: Gram
 matrices assembled entry by entry from direct inner products and solved
-with numpy's generic solver.
+with numpy's generic solver.  Both routes of the production solver are
+also checked row by row against dense solves for each basis alone, kept in
+this module: one dense Cholesky factorization and one SVD least squares.
 """
 
 import numpy as np
 import pytest
 import scipy.special
+from scipy.linalg import solve_triangular
 
 from bidisk.approximant import (
     BasisSpec,
     DecayConfig,
     DecayVerdict,
-    assemble_gram,
+    _band_cholesky,
+    _exponents,
+    _gram_band,
+    _weighted_operator,
     basis_monomials,
     closed_form_distance,
     decay_diagnostic,
     distance_scan,
     evaluation_bound_certificate,
-    solve_normal_equations,
+    optimal_approximant,
 )
 from bidisk.errors import DegenerateInputError, NumericalError
 from bidisk.expr import parse_polynomial as P
@@ -46,6 +52,39 @@ def brute_distance_sq(f, space, basis):
     for (k, l), ci in zip(basis, c):
         p = p + Poly2.monomial(k, l) * complex(ci)
     return norm_squared(p * f - one, space)
+
+
+def _operator(f, spec, space):
+    return _weighted_operator(f, _exponents(basis_monomials(spec)), space)
+
+
+def _residual_norm(f, space, basis, c):
+    p = Poly2.zero()
+    for (k, l), ci in zip(basis, c):
+        p = p + Poly2.monomial(k, l) * complex(ci)
+    return norm_squared(p * f - Poly2.const(1.0), space)
+
+
+def dense_cholesky_distance_sq(f, space, basis):
+    """One dense Cholesky factorization of G = A^H A for this basis alone."""
+    a = _weighted_operator(f, _exponents(basis), space)
+    g = (a.conj().T @ a).toarray()
+    g = 0.5 * (g + g.conj().T)
+    v = a[0].conj().toarray().ravel()
+    low = np.linalg.cholesky(g)
+    c = solve_triangular(low, solve_triangular(low, v, lower=True), lower=True, trans="C")
+    return _residual_norm(f, space, basis, c)
+
+
+def dense_lstsq_distance_sq(f, space, basis):
+    """SVD least squares min ||A c - e_0|| on the rows A reaches, for this
+    basis alone."""
+    a = _weighted_operator(f, _exponents(basis), space).toarray()
+    rows = np.union1d(np.nonzero(np.any(a != 0, axis=1))[0], 0)
+    t = np.zeros(rows.size, dtype=np.complex128)
+    t[0] = 1.0
+    c, *_ = np.linalg.lstsq(a[rows], t, rcond=None)
+    return _residual_norm(f, space, basis, c)
 
 
 # --------------------------------------------------------------- basis order
@@ -74,44 +113,57 @@ def test_basis_prefix_property():
 
 
 def test_hand_gram_alpha0():
-    sys = assemble_gram(P("2 - z1 - z2"), BasisSpec.total(0), iso(0.0))
-    np.testing.assert_allclose(sys.matrix, [[6.0]], atol=1e-14)
-    np.testing.assert_allclose(sys.rhs, [2.0], atol=1e-14)
-    res = solve_normal_equations(sys)
+    a = _operator(P("2 - z1 - z2"), BasisSpec.total(0), iso(0.0))
+    np.testing.assert_allclose((a.conj().T @ a).toarray(), [[6.0]], atol=1e-14)
+    np.testing.assert_allclose(a[0].conj().toarray().ravel(), [2.0], atol=1e-14)
+    res = optimal_approximant(P("2 - z1 - z2"), BasisSpec.total(0), iso(0.0))
     assert abs(res.p.coeffs[0, 0] - 1.0 / 3.0) <= 1e-12
     assert abs(res.distance_squared - 1.0 / 3.0) <= 1e-12
 
 
 def test_hand_gram_one_minus_z1():
-    sys = assemble_gram(P("1 - z1"), BasisSpec.total(0), iso(1.0))
-    np.testing.assert_allclose(sys.matrix, [[3.0]], atol=1e-14)
-    np.testing.assert_allclose(sys.rhs, [1.0], atol=1e-14)
-    res = solve_normal_equations(sys)
+    a = _operator(P("1 - z1"), BasisSpec.total(0), iso(1.0))
+    np.testing.assert_allclose((a.conj().T @ a).toarray(), [[3.0]], atol=1e-14)
+    np.testing.assert_allclose(a[0].conj().toarray().ravel(), [1.0], atol=1e-14)
+    res = optimal_approximant(P("1 - z1"), BasisSpec.total(0), iso(1.0))
     assert res.distance_squared == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_hand_gram_diagonal():
-    sys = assemble_gram(P("1 - z1*z2"), BasisSpec.diagonal(0), iso(1.5))
-    np.testing.assert_allclose(sys.matrix, [[1 + 3**1.5]], rtol=1e-14)
-    np.testing.assert_allclose(sys.rhs, [1.0], atol=1e-14)
+    a = _operator(P("1 - z1*z2"), BasisSpec.diagonal(0), iso(1.5))
+    np.testing.assert_allclose((a.conj().T @ a).toarray(), [[1 + 3**1.5]], rtol=1e-14)
+    np.testing.assert_allclose(a[0].conj().toarray().ravel(), [1.0], atol=1e-14)
 
 
 def test_vanishing_constant_term_gives_distance_one():
-    res = solve_normal_equations(assemble_gram(P("z1"), BasisSpec.total(2), iso(1.0)))
+    res = optimal_approximant(P("z1"), BasisSpec.total(2), iso(1.0))
     assert res.distance_squared == pytest.approx(1.0, abs=1e-12)
     assert res.p == Poly2.zero()
 
 
 def test_gram_rejects_zero_polynomial():
     with pytest.raises(DegenerateInputError):
-        assemble_gram(Poly2.zero(), BasisSpec.total(1), iso(1.0))
+        _operator(Poly2.zero(), BasisSpec.total(1), iso(1.0))
+    with pytest.raises(DegenerateInputError):
+        optimal_approximant(Poly2.zero(), BasisSpec.total(1), iso(1.0))
 
 
 def test_gram_hermitian(rng):
+    # the band holds the lower triangle of G; mirrored, it must be the
+    # Hermitian matrix of direct inner products
     f = random_poly(rng, max_deg=4)
-    sys = assemble_gram(f, BasisSpec.total(3), iso(1.3))
-    g = sys.matrix
-    assert np.max(np.abs(g - g.conj().T)) <= 1e-12 * np.max(np.abs(g))
+    sp = iso(1.3)
+    basis = basis_monomials(BasisSpec.total(3))
+    band = _gram_band(_weighted_operator(f, _exponents(basis), sp))
+    nb = len(basis)
+    g = np.zeros((nb, nb), dtype=np.complex128)
+    for d in range(band.shape[0]):
+        idx = np.arange(nb - d)
+        g[idx + d, idx] = band[d, : nb - d]
+        g[idx, idx + d] = np.conj(band[d, : nb - d])
+    mults = [Poly2.monomial(k, l) * f for (k, l) in basis]
+    want = np.array([[inner_product(mj, mi, sp) for mj in mults] for mi in mults])
+    assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ------------------------------------------------------------------- oracles
@@ -124,7 +176,7 @@ def test_closed_form_one_minus_z1_vs_brute_force(alpha):
     for n in range(7):
         want = closed_form_distance("one_minus_z1", alpha, n)
         brute = brute_distance_sq(f, sp, basis_monomials(BasisSpec.total(n)))
-        prod = solve_normal_equations(assemble_gram(f, BasisSpec.total(n), sp)).distance_squared
+        prod = optimal_approximant(f, BasisSpec.total(n), sp).distance_squared
         assert abs(brute - want) <= 1e-9 * want
         assert abs(prod - want) <= 1e-9 * want
 
@@ -136,9 +188,7 @@ def test_closed_form_diagonal_vs_brute_force(alpha):
     for n in range(7):
         want = closed_form_distance("one_minus_z1z2", alpha, n)
         brute = brute_distance_sq(f, sp, basis_monomials(BasisSpec.diagonal(n)))
-        prod = solve_normal_equations(
-            assemble_gram(f, BasisSpec.diagonal(n), sp)
-        ).distance_squared
+        prod = optimal_approximant(f, BasisSpec.diagonal(n), sp).distance_squared
         assert abs(brute - want) <= 1e-9 * want
         assert abs(prod - want) <= 1e-9 * want
 
@@ -172,7 +222,7 @@ def test_closed_form_spot_values():
 def test_residual_orthogonality(rng):
     f = P("2 - z1 - z2")
     sp = iso(1.5)
-    res = solve_normal_equations(assemble_gram(f, BasisSpec.total(4), sp))
+    res = optimal_approximant(f, BasisSpec.total(4), sp)
     fn = np.sqrt(norm_squared(f, sp))
     for k, l in basis_monomials(BasisSpec.total(4)):
         ip = inner_product(res.residual, Poly2.monomial(k, l) * f, sp)
@@ -185,7 +235,7 @@ def test_distance_in_unit_interval(rng):
         if abs(f.coeffs[0, 0]) < 1e-9:
             continue
         f = Poly2(f.coeffs / np.linalg.norm(f.coeffs))
-        res = solve_normal_equations(assemble_gram(f, BasisSpec.total(3), iso(0.8)))
+        res = optimal_approximant(f, BasisSpec.total(3), iso(0.8))
         assert -1e-12 <= res.distance_squared <= 1.0 + 1e-12
 
 
@@ -195,7 +245,7 @@ def test_scan_matches_individual_solves():
     rows = distance_scan(f, sp, 6)
     assert [r.n for r in rows] == list(range(7))
     for row in rows:
-        single = solve_normal_equations(assemble_gram(f, BasisSpec.total(row.n), sp))
+        single = optimal_approximant(f, BasisSpec.total(row.n), sp)
         assert row.distance_squared == pytest.approx(single.distance_squared, abs=1e-11)
         assert row.basis_size == len(basis_monomials(BasisSpec.total(row.n)))
 
@@ -231,9 +281,9 @@ def test_banded_scan_matches_dense_solves(rng, family, alpha):
         f = random_poly(rng, max_deg=3) + Poly2.const(2.0)
         rows = distance_scan(f, sp, n_max, family=family)
         for row in rows:
-            dense = solve_normal_equations(assemble_gram(f, spec(row.n), sp))
-            assert row.method == dense.method == "cholesky"
-            assert row.distance_squared == pytest.approx(dense.distance_squared, rel=1e-12)
+            dense = dense_cholesky_distance_sq(f, sp, basis_monomials(spec(row.n)))
+            assert row.method == "cholesky"
+            assert row.distance_squared == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_scan_at_total_degree_150_matches_closed_form():
@@ -307,6 +357,31 @@ def test_decay_plateau_floor_config():
     assert v2.limit_estimate == pytest.approx(5e-4, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"plateau_floor": -1e-3},
+        {"plateau_floor": float("inf")},
+        {"plateau_floor": float("nan")},
+        {"fit_tol": 0.0},
+        {"fit_tol": float("nan")},
+        {"fit_tol": float("inf")},
+        {"drop_ratio": 0.0},
+        {"drop_ratio": 1.5},
+        {"drop_ratio": float("nan")},
+        {"plateau_credibility": -0.1},
+        {"plateau_credibility": 2.0},
+    ],
+)
+def test_decay_config_rejects_out_of_range(override):
+    with pytest.raises(ValueError, match=next(iter(override))):
+        DecayConfig(**override)
+
+
+def test_decay_config_accepts_range_ends():
+    DecayConfig(plateau_floor=0.0, drop_ratio=1.0, plateau_credibility=1.0)
+
+
 # ------------------------------------------------------------- certificates
 
 
@@ -344,8 +419,7 @@ def test_qr_fallback_on_ill_conditioned_system():
     # pivots collapse relative to the trace and the least squares route
     # must take over
     f = P("1 - z1")
-    sys = assemble_gram(f, BasisSpec.box(40, 0), iso(-8.0))
-    res = solve_normal_equations(sys)
+    res = optimal_approximant(f, BasisSpec.box(40, 0), iso(-8.0))
     assert res.method == "qr"
     assert 0.0 <= res.distance_squared <= 1.0
     # the ill conditioned route still matches the closed form
@@ -365,18 +439,21 @@ def test_scan_qr_route_matches_closed_form():
         assert row.distance_squared == pytest.approx(want, rel=1e-6)
 
 
-def test_solver_rejects_singular_system():
-    from bidisk.approximant import GramSystem
+def test_scan_qr_route_matches_dense_least_squares():
+    # 2 - z1 - z2 has no closed form; at alpha = -8 every row takes the QR
+    # route, checked against one SVD least squares solve per row
+    f = P("2 - z1 - z2")
+    sp = iso(-8.0)
+    rows = distance_scan(f, sp, 40)
+    assert len(rows) == 41
+    for row in rows:
+        assert row.method == "qr"
+        want = dense_lstsq_distance_sq(f, sp, basis_monomials(BasisSpec.total(row.n)))
+        assert row.distance_squared == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    g = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
-    v = np.array([1.0, 1.0], dtype=np.complex128)
-    sys = GramSystem(
-        f=P("1 - z1"),
-        space=iso(0.0),
-        basis_spec=BasisSpec.box(1, 0),
-        basis=[(0, 0), (1, 0)],
-        matrix=g,
-        rhs=v,
-    )
+
+def test_solver_rejects_singular_system():
+    # G = [[1, 1], [1, 1]] in lower band storage
+    band = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=np.complex128, order="F")
     with pytest.raises(NumericalError):
-        solve_normal_equations(sys)
+        _band_cholesky(band)

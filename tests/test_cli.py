@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bidisk import closed_form_distance, parse_polynomial, poly2_to_json_dict
-from bidisk.cli import main
+from bidisk.cli import _build_configs, main
 from bidisk.errors import InconclusiveError, NumericalError
 
 
@@ -139,6 +139,58 @@ def test_zeros_out_of_range_grid_is_an_input_error(capsys, setting):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: " + setting.split("=")[0])
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("radii=inf", "'radii' must be an integer"),
+        ("radii=1.5", "'radii' must be an integer"),
+        ("newton_steps=nan", "'newton_steps' must be an integer"),
+        ("delta=nan", "delta must lie in (0, 1)"),
+        ("circle_tol=-1", "circle_tol must be finite and positive"),
+        ("resid_tol=inf", "resid_tol must be finite and positive"),
+        ("cluster_tol=nan", "cluster_tol must be finite and positive"),
+        ("fit_tol=nan", "fit_tol must be finite and positive"),
+        ("plateau_floor=-1", "plateau_floor must be finite and nonnegative"),
+        ("drop_ratio=0", "drop_ratio must lie in (0, 1]"),
+        ("plateau_credibility=1.5", "plateau_credibility must lie in (0, 1]"),
+    ],
+)
+def test_set_out_of_range_config_is_an_input_error(capsys, setting, message):
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"delta": [1]}', "'delta' must be a number"),
+        ('{"delta": "0.01"}', "'delta' must be a number"),
+        ('{"radii": true}', "'radii' must be a number"),
+        ('{"radii": 1.5}', "'radii' must be an integer"),
+        ('{"radii": Infinity}', "'radii' must be an integer"),
+        ('{"fit_tol": NaN}', "fit_tol must be finite and positive"),
+    ],
+)
+def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert message in err
+
+
+def test_resid_tol_override_reaches_both_configs():
+    tol, grid, decay = _build_configs({"resid_tol": 1e-6, "radii": 8, "fit_tol": 0.1})
+    assert tol.resid_tol == grid.resid_tol == 1e-6
+    assert grid.radii == 8 and isinstance(grid.radii, int)
+    assert decay.fit_tol == 0.1
 
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
@@ -401,10 +453,10 @@ def test_exit_missing_poly_json(capsys):
 
 
 def test_exit_numerical_failure(capsys, monkeypatch):
-    def blow_up(system):
+    def blow_up(*args):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setattr("bidisk.cli.solve_normal_equations", blow_up)
+    monkeypatch.setattr("bidisk.cli.optimal_approximant", blow_up)
     code, _, err = run(capsys, "opa", "-p", "1 - z1", "--alpha", "1", "--nmax", "1")
     assert code == 3
     assert "numerical failure" in err

@@ -263,3 +263,18 @@ def test_tolconfig_defaults():
     tol = TolConfig()
     assert tol.circle_tol == 1e-6
     assert tol.resid_tol == 1e-8
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"circle_tol": -1.0},
+        {"circle_tol": 0.0},
+        {"resid_tol": float("inf")},
+        {"proportional_tol": float("nan")},
+        {"cluster_tol": -1e-5},
+    ],
+)
+def test_tolconfig_rejects_out_of_range(override):
+    with pytest.raises(ValueError, match=next(iter(override))):
+        TolConfig(**override)
