@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .expr import parse_polynomial, to_expression
-from .operators import diagonal, embed_diagonal, reflect, rotate, slice_z1, slice_z2
+from .operators import diagonal, reflect, rotate, slice_z1
 from .poly import (
     Poly1,
     Poly2,
@@ -57,8 +57,6 @@ from .spaces import (
     inner_product,
     iso,
     norm_squared,
-    uni,
-    weight,
     weight_grid,
 )
 from .zeroset import (
@@ -109,7 +107,6 @@ __all__ = [
     "decay_diagnostic",
     "diagonal",
     "distance_scan",
-    "embed_diagonal",
     "evaluation_bound_certificate",
     "inner_product",
     "iso",
@@ -129,10 +126,7 @@ __all__ = [
     "roots_on_unit_circle",
     "rotate",
     "slice_z1",
-    "slice_z2",
     "to_expression",
     "torus_zeros",
-    "uni",
-    "weight",
     "weight_grid",
 ]

@@ -373,7 +373,7 @@ def closed_form_distance(family: Literal["one_minus_z1", "one_minus_z1z2"], alph
     return float(1.0 / s)
 
 
-def evaluation_bound_certificate(alpha: float, torus_zero: Optional[tuple[complex, complex]] = None) -> float:
+def evaluation_bound_certificate(alpha: float) -> float:
     """Unconditional lower bound on every d_n when f vanishes on the torus.
 
     For alpha > 2 point evaluation at a torus point w is bounded on the
@@ -382,10 +382,6 @@ def evaluation_bound_certificate(alpha: float, torus_zero: Optional[tuple[comple
     """
     if not alpha > 2.0:
         raise DegenerateInputError("the evaluation bound needs alpha > 2")
-    if torus_zero is not None:
-        w1, w2 = torus_zero
-        if abs(abs(complex(w1)) - 1.0) > 1e-9 or abs(abs(complex(w2)) - 1.0) > 1e-9:
-            raise DegenerateInputError("certificate point must lie on the unit torus")
     return float(1.0 / np.sqrt(zeta(alpha - 1.0)))
 
 
@@ -428,43 +424,42 @@ def _rel_residual(data: np.ndarray, model_vals: np.ndarray) -> float:
     return float(np.linalg.norm(model_vals - data) / np.linalg.norm(data))
 
 
-def _fit_log(n: np.ndarray, y: np.ndarray):
+# (name, model(theta, n), x0(n, y), bounds): two zero-asymptote models, then
+# the positive-limit model
+_DECAY_MODELS = (
+    (
+        "c/log(n+c0)",
+        lambda t, n: t[0] / np.log(n + t[1]),
+        lambda n, y: [y[0] * np.log(n[0] + 2.0), 2.0],
+        ([0.0, 1.05], [np.inf, 1e6]),
+    ),
+    (
+        "c*n^-beta",
+        lambda t, n: t[0] * n ** (-t[1]),
+        lambda n, y: [y[0], 0.5],
+        ([0.0, 1e-3], [np.inf, 20.0]),
+    ),
+    (
+        "dinf+c*n^-beta",
+        lambda t, n: t[0] + t[1] * n ** (-t[2]),
+        lambda n, y: [max(y[-1] * 0.9, 1e-12), max(y[0] - y[-1], 1e-12), 0.7],
+        ([0.0, 0.0, 1e-3], [np.inf, np.inf, 20.0]),
+    ),
+)
+
+
+def _fit(model, n: np.ndarray, y: np.ndarray):
+    """(name, params, relative residual) of one least-squares fit, or None."""
+    name, curve, x0, bounds = model
+
     def resid(theta):
-        c, c0 = theta
-        return c / np.log(n + c0) - y
+        return curve(theta, n) - y
 
     try:
-        sol = least_squares(resid, x0=[y[0] * np.log(n[0] + 2.0), 2.0], bounds=([0.0, 1.05], [np.inf, 1e6]))
-    except Exception:
+        sol = least_squares(resid, x0=x0(n, y), bounds=bounds)
+    except (ValueError, np.linalg.LinAlgError):
         return None
-    return ("c/log(n+c0)", tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
-
-
-def _fit_power(n: np.ndarray, y: np.ndarray):
-    def resid(theta):
-        c, beta = theta
-        return c * n ** (-beta) - y
-
-    try:
-        sol = least_squares(resid, x0=[y[0], 0.5], bounds=([0.0, 1e-3], [np.inf, 20.0]))
-    except Exception:
-        return None
-    return ("c*n^-beta", tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
-
-
-def _fit_plateau(n: np.ndarray, y: np.ndarray):
-    def resid(theta):
-        dinf, c, beta = theta
-        return dinf + c * n ** (-beta) - y
-
-    x0 = [max(y[-1] * 0.9, 1e-12), max(y[0] - y[-1], 1e-12), 0.7]
-    try:
-        sol = least_squares(
-            resid, x0=x0, bounds=([0.0, 0.0, 1e-3], [np.inf, np.inf, 20.0])
-        )
-    except Exception:
-        return None
-    return ("dinf+c*n^-beta", tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
+    return (name, tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
 
 
 def decay_diagnostic(ds: Sequence[float], config: DecayConfig = DecayConfig()) -> DecayVerdict:
@@ -488,7 +483,7 @@ def decay_diagnostic(ds: Sequence[float], config: DecayConfig = DecayConfig()) -
     if np.any(y <= 0):
         raise DegenerateInputError("distance sequence must be positive")
     n = np.arange(1.0, y.size + 1.0)  # shift away from zero for the models
-    fits = [f for f in (_fit_log(n, y), _fit_power(n, y), _fit_plateau(n, y)) if f is not None]
+    fits = [f for f in (_fit(model, n, y) for model in _DECAY_MODELS) if f is not None]
     if not fits:
         return DecayVerdict("inconclusive", None, "none", (), float("inf"))
     zero_fits = [f for f in fits if f[0] != "dinf+c*n^-beta"]

@@ -145,9 +145,10 @@ def _gather_overrides(args) -> dict[str, float]:
         if not sep:
             raise _UsageError(f"--set expects key=value, got {item!r}")
         try:
-            overrides[key.strip()] = float(value)
+            value = float(value)
         except ValueError:
-            raise _UsageError(f"--set value for {key!r} must be a number") from None
+            pass  # left a string, which _config_value rejects as for --config
+        overrides[key.strip()] = value
     for key in overrides:
         if key not in _CONFIG_KINDS:
             raise _UsageError(f"unknown config key {key!r}")

@@ -3,14 +3,13 @@
 All of these act on the dense coefficient grid and come with norm
 inequalities against the weighted spaces (exercised in the test suite):
 
-* ``slice_z1``/``slice_z2``: restrict one variable to a point of the disk.
+* ``slice_z1``: fix z1 at a point of the disk, leaving a polynomial in z2.
 * ``diagonal``: f(z1, z2) -> sum over n of (sum_{k+l=n} a_{k,l}) z^n, the
   restriction to z1 = z2 read off the coefficients.
 * ``reflect``: f~(z1, z2) = z1^m z2^n conj(f(1/conj(z1), 1/conj(z2))) for
   bidegree (m, n); same modulus as f on the unit torus.
 * ``rotate``: f(zeta*z1, eta*z2) for unimodular zeta, eta; an isometry of
   every space here.
-* ``embed_diagonal``: one-variable f(z) -> f(z1*z2).
 """
 
 from __future__ import annotations
@@ -22,11 +21,9 @@ from .poly import Poly1, Poly2
 
 __all__ = [
     "slice_z1",
-    "slice_z2",
     "diagonal",
     "reflect",
     "rotate",
-    "embed_diagonal",
 ]
 
 
@@ -35,13 +32,6 @@ def slice_z1(f: Poly2, w: complex) -> Poly1:
     m, _ = f.bidegree
     powers = np.power(complex(w), np.arange(m + 1))
     return Poly1(powers @ f.coeffs)
-
-
-def slice_z2(f: Poly2, w: complex) -> Poly1:
-    """The one-variable polynomial z1 -> f(z1, w)."""
-    _, n = f.bidegree
-    powers = np.power(complex(w), np.arange(n + 1))
-    return Poly1(f.coeffs @ powers)
 
 
 def diagonal(f: Poly2) -> Poly1:
@@ -75,10 +65,3 @@ def rotate(f: Poly2, zeta: complex, eta: complex) -> Poly2:
     el = np.power(eta, np.arange(n + 1))[None, :]
     return Poly2(f.coeffs * zk * el)
 
-
-def embed_diagonal(f: Poly1) -> Poly2:
-    """Substitute z -> z1*z2, producing coefficients on the grid diagonal."""
-    d = f.degree
-    grid = np.zeros((d + 1, d + 1), dtype=np.complex128)
-    grid[np.arange(d + 1), np.arange(d + 1)] = f.coeffs
-    return Poly2(grid)

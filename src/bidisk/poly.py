@@ -13,7 +13,6 @@ coefficient vector.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -66,6 +65,14 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     acc = np.zeros(np.broadcast_shapes(z1.shape, z2.shape), dtype=np.complex128)
     for k in range(c.shape[0] - 1, -1, -1):
         acc = acc * z1 + rows[k]
+    return acc
+
+
+def _horner1(c: np.ndarray, z: np.ndarray):
+    """The ascending coefficients c as a polynomial at the points z."""
+    acc = np.zeros(z.shape, dtype=np.complex128)
+    for coeff in c[::-1]:
+        acc = acc * z + coeff
     return acc
 
 
@@ -202,10 +209,6 @@ class Poly2:
             e >>= 1
         return result
 
-    def conj_coeffs(self) -> "Poly2":
-        """Polynomial with conjugated coefficients."""
-        return Poly2(np.conj(self.coeffs))
-
     def derivative(self, variable: int) -> "Poly2":
         """Partial derivative with respect to z1 (variable=1) or z2 (variable=2)."""
         c = self.coeffs
@@ -290,47 +293,11 @@ class Poly1:
     def is_zero(self) -> bool:
         return self.coeffs.size == 1 and self.coeffs[0] == 0
 
-    def __getitem__(self, k: int) -> complex:
-        if 0 <= k < self.coeffs.size:
-            return complex(self.coeffs[k])
-        return 0j
-
-    def __add__(self, other) -> "Poly1":
-        other = _coerce1(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n, dtype=np.complex128)
-        out[: self.coeffs.size] = self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return Poly1(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly1":
-        return Poly1(-self.coeffs)
-
-    def __sub__(self, other) -> "Poly1":
-        return self + (-_coerce1(other))
-
-    def __rsub__(self, other) -> "Poly1":
-        return _coerce1(other) + (-self)
-
-    def __mul__(self, other) -> "Poly1":
-        other = _coerce1(other)
-        if self.is_zero or other.is_zero:
-            return Poly1.zero()
-        return Poly1(np.convolve(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
     def evaluate(self, z):
-        za = np.asarray(z, dtype=np.complex128)
-        scalar = za.ndim == 0
-        acc = np.zeros_like(za, dtype=np.complex128)
-        for c in self.coeffs[::-1]:
-            acc = acc * za + c
-        if scalar:
-            return complex(acc)
-        return acc
+        out = _horner1(self.coeffs, np.asarray(z, dtype=np.complex128))
+        if np.ndim(out) == 0:
+            return complex(out)
+        return out
 
     def as_poly2(self, variable: int = 1) -> Poly2:
         """Embed as a polynomial in z1 (variable=1) or z2 (variable=2)."""
@@ -350,14 +317,6 @@ class Poly1:
 
     def __repr__(self) -> str:
         return f"Poly1(degree={self.degree})"
-
-
-def _coerce1(value) -> Poly1:
-    if isinstance(value, Poly1):
-        return value
-    if isinstance(value, (int, float, complex, np.number)):
-        return Poly1([complex(value)])
-    raise TypeError(f"cannot interpret {type(value).__name__} as Poly1")
 
 
 def coeff_norm(p) -> float:
@@ -417,10 +376,3 @@ def poly2_from_json_dict(data: dict) -> Poly2:
         grid[k, l] = complex(float(e["re"]), float(e.get("im", 0.0)))
     return Poly2(grid)
 
-
-def poly2_to_json(p: Poly2) -> str:
-    return json.dumps(poly2_to_json_dict(p))
-
-
-def poly2_from_json(text: str) -> Poly2:
-    return poly2_from_json_dict(json.loads(text))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError
-from .poly import Poly1
+from .poly import Poly1, _horner1
 
 __all__ = ["aberth_roots", "roots_on_unit_circle"]
 
@@ -23,16 +23,9 @@ _STOP_EPS = 1e-13
 _STEP_EPS = 1e-14
 
 
-def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for coeff in c[::-1]:
-        acc = acc * z + coeff
-    return acc
-
-
 def _residual_bound(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_k |c_k| |z|^k, the scale against which |p(z)| counts as zero."""
-    return _horner_many(np.abs(c).astype(np.complex128), np.abs(z).astype(np.complex128)).real
+    return _horner1(np.abs(c).astype(np.complex128), np.abs(z).astype(np.complex128)).real
 
 
 def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
@@ -67,11 +60,11 @@ def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
     z = radii * np.exp(1j * theta)
 
     for _ in range(max_iter):
-        pv = _horner_many(c, z)
+        pv = _horner1(c, z)
         bound = _residual_bound(c, z)
         if np.all(np.abs(pv) <= _STOP_EPS * bound):
             break
-        dv = _horner_many(cp, z)
+        dv = _horner1(cp, z)
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
@@ -84,7 +77,7 @@ def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
         if np.max(np.abs(step)) <= _STEP_EPS * np.max(1.0 + np.abs(z)):
             break
 
-    pv = _horner_many(c, z)
+    pv = _horner1(c, z)
     bound = _residual_bound(c, z)
     bad = np.abs(pv) > 1e6 * _STOP_EPS * np.maximum(bound, 1e-300)
     if np.any(bad):
@@ -139,7 +132,7 @@ def roots_on_unit_circle(
         return []
     merged = _collapse_clusters(near, cluster_tol)
     scale = float(np.linalg.norm(r.coeffs))
-    vals = np.abs(_horner_many(r.coeffs, merged))
+    vals = np.abs(_horner1(r.coeffs, merged))
     good = merged[vals <= resid_tol * scale]
     order = np.argsort(np.angle(good) % (2.0 * np.pi))
     return [complex(v) for v in good[order]]

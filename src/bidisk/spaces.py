@@ -1,10 +1,13 @@
-"""Weighted coefficient norms on the bidisk and the disk.
+"""Weighted coefficient norms on the bidisk.
 
-Three families, each indexed by a real parameter alpha:
+Two families, each indexed by a real parameter alpha:
 
 * ``iso``:   weight (k+l+1)^alpha on the monomial z1^k z2^l
 * ``aniso``: weight ((k+1)(l+1))^alpha
-* ``uni``:   weight (k+1)^alpha on the one-variable monomial z^k
+
+On a polynomial in z1 alone the ``iso`` weight is (k+1)^alpha, the
+one-variable weight, so a ``Poly1`` is normed as the z1-only ``Poly2`` it
+embeds as.
 
 ``norm_squared(f, space)`` is the weighted sum of squared coefficient
 magnitudes; ``inner_product`` the matching sesquilinear form (conjugate
@@ -29,8 +32,6 @@ __all__ = [
     "SpaceSpec",
     "iso",
     "aniso",
-    "uni",
-    "weight",
     "weight_grid",
     "norm_squared",
     "inner_product",
@@ -38,7 +39,7 @@ __all__ = [
     "NormTriple",
 ]
 
-_KINDS = ("iso", "aniso", "uni")
+_KINDS = ("iso", "aniso")
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,6 @@ def aniso(alpha: float) -> SpaceSpec:
     return SpaceSpec("aniso", float(alpha))
 
 
-def uni(alpha: float) -> SpaceSpec:
-    return SpaceSpec("uni", float(alpha))
-
-
 def _pow_alpha(base: np.ndarray, alpha: float) -> np.ndarray:
     """base**alpha with an exact repeated-product path for small integer alpha."""
     if float(alpha).is_integer() and -8 <= alpha <= 8:
@@ -78,85 +75,39 @@ def _pow_alpha(base: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(base, alpha)
 
 
-def weight(space: SpaceSpec, k: int, l: int = 0) -> float:
-    """Weight of the monomial with exponents (k, l)."""
-    if k < 0 or l < 0:
-        raise DegenerateInputError("exponents must be nonnegative")
-    if space.kind == "iso":
-        base = np.float64(k + l + 1)
-    elif space.kind == "aniso":
-        base = np.float64((k + 1) * (l + 1))
-    else:
-        if l != 0:
-            raise DegenerateInputError("univariate weight takes l = 0")
-        base = np.float64(k + 1)
-    return float(_pow_alpha(base, space.alpha))
-
-
-def weight_grid(space: SpaceSpec, kmax: int, lmax: int = 0) -> np.ndarray:
-    """Grid of weights for exponents 0..kmax times 0..lmax.
-
-    For the univariate family the result is a vector of length kmax+1 and
-    lmax must be 0.
-    """
-    if space.kind == "uni":
-        if lmax != 0:
-            raise DegenerateInputError("univariate weights index a single exponent")
-        base = np.arange(1, kmax + 2, dtype=np.float64)
-        return _pow_alpha(base, space.alpha)
+def weight_grid(space: SpaceSpec, kmax: int, lmax: int) -> np.ndarray:
+    """Grid of weights for exponents 0..kmax times 0..lmax."""
     k = np.arange(kmax + 1, dtype=np.float64)[:, None]
     l = np.arange(lmax + 1, dtype=np.float64)[None, :]
     base = (k + l + 1.0) if space.kind == "iso" else (k + 1.0) * (l + 1.0)
     return _pow_alpha(base, space.alpha)
 
 
-def _coeff_array(f: Union[Poly1, Poly2], space: SpaceSpec) -> np.ndarray:
-    if space.kind == "uni":
-        if isinstance(f, Poly1):
-            return f.coeffs
-        if isinstance(f, Poly2):
-            m, n = f.bidegree
-            if n != 0:
-                raise DegenerateInputError("univariate norm of a polynomial involving z2")
-            return f.coeffs[:, 0]
-        raise TypeError("expected Poly1 or z2-free Poly2")
+def _coeff_grid(f: Union[Poly1, Poly2]) -> np.ndarray:
     if isinstance(f, Poly2):
         return f.coeffs
     if isinstance(f, Poly1):
         return f.as_poly2(1).coeffs
-    raise TypeError("expected Poly2")
+    raise TypeError("expected Poly1 or Poly2")
 
 
 def norm_squared(f: Union[Poly1, Poly2], space: SpaceSpec) -> float:
-    c = _coeff_array(f, space)
-    if c.ndim == 1:
-        w = weight_grid(space, c.size - 1)
-    else:
-        w = weight_grid(space, c.shape[0] - 1, c.shape[1] - 1)
+    c = _coeff_grid(f)
+    w = weight_grid(space, c.shape[0] - 1, c.shape[1] - 1)
     return float(np.sum(w * (c.real**2 + c.imag**2)))
 
 
 def inner_product(f: Union[Poly1, Poly2], g: Union[Poly1, Poly2], space: SpaceSpec) -> complex:
     """Weighted coefficient pairing, conjugate linear in g."""
-    a = _coeff_array(f, space)
-    b = _coeff_array(g, space)
-    if a.ndim != b.ndim:
-        raise TypeError("operands must live in the same space")
-    if a.ndim == 1:
-        n = max(a.size, b.size)
-        pa = np.zeros(n, dtype=np.complex128)
-        pb = np.zeros(n, dtype=np.complex128)
-        pa[: a.size] = a
-        pb[: b.size] = b
-        w = weight_grid(space, n - 1)
-    else:
-        m = max(a.shape[0], b.shape[0])
-        n = max(a.shape[1], b.shape[1])
-        pa = np.zeros((m, n), dtype=np.complex128)
-        pb = np.zeros((m, n), dtype=np.complex128)
-        pa[: a.shape[0], : a.shape[1]] = a
-        pb[: b.shape[0], : b.shape[1]] = b
-        w = weight_grid(space, m - 1, n - 1)
+    a = _coeff_grid(f)
+    b = _coeff_grid(g)
+    m = max(a.shape[0], b.shape[0])
+    n = max(a.shape[1], b.shape[1])
+    pa = np.zeros((m, n), dtype=np.complex128)
+    pb = np.zeros((m, n), dtype=np.complex128)
+    pa[: a.shape[0], : a.shape[1]] = a
+    pb[: b.shape[0], : b.shape[1]] = b
+    w = weight_grid(space, m - 1, n - 1)
     return complex(np.sum(w * pa * np.conj(pb)))
 
 

@@ -207,8 +207,15 @@ class GridConfig:
         for name in ("radii", "angles", "coarse_radii", "coarse_angles", "refine_top"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.newton_steps < 0:
-            raise ValueError(f"newton_steps must be nonnegative, got {self.newton_steps}")
+        # the coarse grid is searched as its own product, 64 rows at a time:
+        # 4096 points make 16.8 M pairs
+        coarse = self.coarse_radii * self.coarse_angles
+        if coarse > 4096:
+            raise ValueError(f"coarse_radii * coarse_angles must be at most 4096, got {coarse}")
+        if self.refine_top > 4096:
+            raise ValueError(f"refine_top must be at most 4096, got {self.refine_top}")
+        if not 0 <= self.newton_steps <= 1000:
+            raise ValueError(f"newton_steps must lie in [0, 1000], got {self.newton_steps}")
         if not self.resid_tol > 0.0:
             raise ValueError(f"resid_tol must be positive, got {self.resid_tol}")
 

@@ -34,7 +34,6 @@ from bidisk import (
     slice_z1,
     q_smoothness,
     torus_zeros,
-    uni,
 )
 from bidisk.cli import main
 
@@ -195,14 +194,14 @@ def test_criterion_7_inequality_suites():
                 violations["inclusion"] += 1
 
         for alpha in (0.0, 1.0, 3.0):
-            lhs = norm_squared(diagonal(f), uni(alpha - 1.0))
+            lhs = norm_squared(diagonal(f), iso(alpha - 1.0))
             rhs = norm_squared(f, iso(alpha))
             if lhs > rhs + 1e-12 * max(rhs, 1.0):
                 violations["diagonal"] += 1
 
         alpha = (0.0, 1.0, 2.0)[i % 3]
         w = rng.uniform(0.0, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        lhs = norm_squared(slice_z1(f, w), uni(alpha))
+        lhs = norm_squared(slice_z1(f, w), iso(alpha))
         rhs = norm_squared(f, iso(alpha)) / (1.0 - abs(w) ** 2)
         if lhs > rhs * (1 + 1e-10):
             violations["slice"] += 1

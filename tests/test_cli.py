@@ -144,6 +144,8 @@ def test_zeros_out_of_range_grid_is_an_input_error(capsys, setting):
 @pytest.mark.parametrize(
     "setting, message",
     [
+        ("radii=abc", "config value for 'radii' must be a number, got 'abc'"),
+        ("delta=abc", "config value for 'delta' must be a number, got 'abc'"),
         ("radii=inf", "'radii' must be an integer"),
         ("radii=1.5", "'radii' must be an integer"),
         ("newton_steps=nan", "'newton_steps' must be an integer"),
@@ -170,6 +172,7 @@ def test_set_out_of_range_config_is_an_input_error(capsys, setting, message):
     [
         ('{"delta": [1]}', "'delta' must be a number"),
         ('{"delta": "0.01"}', "'delta' must be a number"),
+        ('{"radii": "abc"}', "config value for 'radii' must be a number, got 'abc'"),
         ('{"radii": true}', "'radii' must be a number"),
         ('{"radii": 1.5}', "'radii' must be an integer"),
         ('{"radii": Infinity}', "'radii' must be an integer"),
@@ -424,6 +427,13 @@ def test_exit_usage_unknown_config_key(capsys):
     )
     assert code == 1
     assert "unknown config key" in err
+
+
+def test_exit_usage_set_without_value(capsys):
+    code, out, err = run(capsys, "zeros", "-p", "1 - z1", "--set", "radii")
+    assert code == 1
+    assert out == ""
+    assert "--set expects key=value" in err
 
 
 def test_exit_usage_poly_conflict(capsys, tmp_path):

@@ -4,27 +4,22 @@ import pytest
 from bidisk.errors import DegenerateInputError
 from bidisk.expr import parse_polynomial as P
 from bidisk.poly import Poly1, Poly2
-from bidisk.spaces import aniso, compare_norms, inner_product, iso, norm_squared, uni, weight
+from bidisk.spaces import SpaceSpec, aniso, compare_norms, inner_product, iso, norm_squared, weight_grid
 from conftest import random_poly
 
 
 def test_weight_values():
-    assert weight(iso(2.0), 1, 1) == pytest.approx(9.0)
-    assert weight(aniso(2.0), 1, 1) == pytest.approx(16.0)
-    for sp in (iso(0.7), aniso(-2.3), uni(5.0)):
-        assert weight(sp, 0, 0) == pytest.approx(1.0)
+    assert weight_grid(iso(2.0), 1, 1)[1, 1] == pytest.approx(9.0)
+    assert weight_grid(aniso(2.0), 1, 1)[1, 1] == pytest.approx(16.0)
+    for sp in (iso(0.7), aniso(-2.3), iso(5.0)):
+        assert weight_grid(sp, 0, 0)[0, 0] == pytest.approx(1.0)
 
 
 def test_weight_integer_alpha_exact():
     # integer alpha uses repeated multiplication, so these are exact
-    assert weight(iso(3.0), 2, 1) == 64.0
-    assert weight(iso(-2.0), 1, 1) == 1.0 / 9.0
-    assert weight(aniso(2.0), 3, 4) == 400.0
-
-
-def test_uni_weight_rejects_second_index():
-    with pytest.raises(DegenerateInputError):
-        weight(uni(1.0), 0, 1)
+    assert weight_grid(iso(3.0), 2, 1)[2, 1] == 64.0
+    assert weight_grid(iso(-2.0), 1, 1)[1, 1] == 1.0 / 9.0
+    assert weight_grid(aniso(2.0), 3, 4)[3, 4] == 400.0
 
 
 def test_monomial_orthogonality(rng):
@@ -97,17 +92,16 @@ def test_cauchy_schwarz(rng):
         assert lhs <= rhs + 1e-10 * max(rhs, 1.0)
 
 
-def test_uni_norm_on_univariate_inputs():
+def test_iso_norm_on_univariate_inputs():
+    # on a polynomial in z1 alone the iso weight (k+l+1)^a is (k+1)^a
     f = Poly1(np.array([1.0, -1.0]))
-    assert norm_squared(f, uni(1.0)) == pytest.approx(3.0)
-    # a z2-free Poly2 is accepted by the univariate space
-    assert norm_squared(P("1 - z1"), uni(1.0)) == pytest.approx(3.0)
-    with pytest.raises(DegenerateInputError):
-        norm_squared(P("1 - z2"), uni(1.0))
+    assert norm_squared(f, iso(1.0)) == pytest.approx(3.0)
+    assert norm_squared(P("1 - z1"), iso(1.0)) == pytest.approx(3.0)
+    assert inner_product(f, P("1 - z1"), iso(1.0)) == pytest.approx(3.0)
 
 
 def test_space_spec_validation():
     with pytest.raises(DegenerateInputError):
         iso(float("nan"))
     with pytest.raises(DegenerateInputError):
-        weight(iso(1.0), -1, 0)
+        SpaceSpec("uni", 1.0)

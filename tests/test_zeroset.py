@@ -220,6 +220,11 @@ def test_bidisk_respects_delta_override():
         {"coarse_angles": 0},
         {"refine_top": 0},
         {"newton_steps": -1},
+        {"newton_steps": 1001},
+        {"refine_top": 4097},
+        {"coarse_radii": 4096, "coarse_angles": 4096},
+        {"coarse_angles": 4097, "coarse_radii": 1},
+        {"coarse_radii": 65},
         {"resid_tol": 0.0},
         {"resid_tol": -1e-8},
     ],
@@ -227,6 +232,11 @@ def test_bidisk_respects_delta_override():
 def test_grid_config_rejects_out_of_range(override):
     with pytest.raises(ValueError, match=next(iter(override))):
         GridConfig(**override)
+
+
+def test_grid_config_accepts_upper_bounds():
+    GridConfig(coarse_radii=64, coarse_angles=64, refine_top=4096, newton_steps=1000)
+    GridConfig(coarse_radii=1, coarse_angles=4096)
 
 
 def test_grid_config_smallest_valid_grid_searches():
