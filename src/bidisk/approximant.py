@@ -3,7 +3,7 @@
 For a polynomial f and a finite monomial basis e_1..e_N, the optimal
 approximant p minimizes ||p*f - 1|| over span{e_i}.  Everything here is
 built on one operator, A = W^{1/2} M_f: a sparse matrix with one column per
-basis monomial and one row per monomial of the product grid, holding the
+basis monomial and one row per product monomial it reaches, holding the
 coefficients of e_j * f scaled by the square roots of their weights.  The
 normal equations G c = v have G = A^H A and v = A^H e_0.
 
@@ -18,11 +18,12 @@ d_n^2 = 1 - sum_{i < N_n} |y_i|^2.  ``optimal_approximant`` asks for the
 full basis, ``distance_scan`` for every prefix of the nested bases.
 
 When the Cholesky pivots are too uneven to trust, the solver instead runs
-one Householder QR of A over the rows A reaches, keeping R and y = Q^H e_0;
-each prefix is then one back substitution R_s c = y_s, with least squares
-value 1 - sum_{i < s} |y_i|^2.  On either route the reported distance is
-recomputed from the reconstructed residual p*f - 1 and must agree with the
-solver's value to one part in 1e9, which catches silent cancellation.
+one Householder QR of A, keeping R and y = Q^H e_0; each prefix is then
+one back substitution R_s c = y_s, with least squares value
+1 - sum_{i < s} |y_i|^2.  On either route the reported distance is
+||A c - e_0||^2, the weighted norm of the residual p*f - 1 recomputed with
+one sparse product per prefix, and it must agree with the solver's value
+to one part in 1e9, which catches silent cancellation.
 
 ``closed_form_distance`` carries the two families with exact distance
 formulas (f = 1 - z1 and f = 1 - z1*z2), used as oracles in the tests.
@@ -45,7 +46,7 @@ from scipy.special import zeta
 
 from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2
-from .spaces import SpaceSpec, norm_squared, weight_grid
+from .spaces import SpaceSpec, weight_grid
 
 __all__ = [
     "BasisSpec",
@@ -147,9 +148,10 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
     """A = W^{1/2} M_f: column j holds the coefficients of e_j * f, each
     scaled by the square root of the weight of its monomial.
 
-    Rows run over the product grid in row-major order, so row 0 is the
-    constant monomial, whose weight is 1 in every space.  Hence
-    G = A^H A and ||p*f - 1||^2 = ||A c - e_0||^2.
+    Rows run over the product monomials that some e_j * f reaches, and the
+    constant one, in row-major order, so row 0 is the constant monomial,
+    whose weight is 1 in every space.  Hence G = A^H A and
+    ||p*f - 1||^2 = ||A c - e_0||^2.
     """
     if f.is_zero:
         raise DegenerateInputError("approximants to 1/f need a nonzero f")
@@ -160,16 +162,13 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
     # the support comes in row-major order, so each column's rows are sorted
     rows = (exps[:, :1] + fk) * width + (exps[:, 1:] + fl)
     data = f.coeffs[fk, fl] * sqw[rows]
+    # keep the rows reached and row 0 (the target), renumbered in order
+    kept = np.zeros(sqw.size, dtype=bool)
+    kept[rows] = True
+    kept[0] = True
+    rows = np.cumsum(kept)[rows] - 1
     indptr = np.arange(0, rows.size + 1, fk.size)
-    return sparse.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(sqw.size, len(exps)))
-
-
-def _rhs(f: Poly2, size: int) -> np.ndarray:
-    """v[i] = <1, e_i f>; only the constant monomial, first in every basis
-    kind, reaches the target 1."""
-    v = np.zeros(size, dtype=np.complex128)
-    v[0] = np.conj(f[0, 0])
-    return v
+    return sparse.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(int(rows.max()) + 1, len(exps)))
 
 
 def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
@@ -220,12 +219,10 @@ def _too_ill_conditioned(diag: np.ndarray, trace: float) -> bool:
 def _householder(a: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """R and y = Q^H e_0 from one Householder QR of [A | e_0].
 
-    Only the rows A reaches (and row 0, where the target sits) enter.  Q is
-    never formed: Q^H e_0 is the last column of the augmented factor.
+    Q is never formed: Q^H e_0 is the last column of the augmented factor.
     """
-    reached = np.union1d(a.indices, 0)
-    aug = np.zeros((reached.size, a.shape[1] + 1), dtype=np.complex128)
-    aug[:, :-1] = a.tocsr()[reached].toarray()
+    aug = np.zeros((a.shape[0], a.shape[1] + 1), dtype=np.complex128)
+    aug[:, :-1] = a.toarray()
     aug[0, -1] = 1.0
     (r,) = qr(aug, mode="r", overwrite_a=True)
     return r[:, :-1], r[:, -1]
@@ -234,68 +231,67 @@ def _householder(a: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 def _prefix_solver(f: Poly2, exps: np.ndarray, space: SpaceSpec):
     """Factor the approximant problem on the basis exps once.
 
-    Returns (method, solve), where solve(size) gives the coefficients on the
-    leading size monomials and the solver's distance value.  The factor of
+    Returns (method, solve), where solve(size) gives the coefficients c on
+    the leading size monomials and their distance squared.  The factor of
     a leading block of the basis is the leading block of the factor, so
     each call is one triangular back substitution: through the banded
     Cholesky factor of G, or through R of A = QR when that factor is too
-    ill conditioned to trust.
+    ill conditioned to trust.  The distance is ||A c - e_0||^2, which must
+    agree with the solver's own value before it is returned.
     """
     a = _weighted_operator(f, exps, space)
     band = _gram_band(a)
     trace = float(np.sum(band[0].real))
     low = _band_cholesky(band)
-    if _too_ill_conditioned(low[0], trace):
+    method = "qr" if _too_ill_conditioned(low[0], trace) else "cholesky"
+    if method == "qr":
         r, y = _householder(a)
 
-        def solve(size: int):
+        def back_substitute(size: int):
             c = solve_triangular(r[:size, :size], y[:size])
             return c, 1.0 - float(np.real(np.vdot(y[:size], y[:size])))
 
-        return "qr", solve
+    else:
+        v = a[0].conj().toarray().ravel()  # v = A^H e_0
+        y = _band_solve(low, v, "N")
 
-    v = _rhs(f, len(exps))
-    y = _band_solve(low, v, "N")
+        def back_substitute(size: int):
+            c = _band_solve(low[:, :size], y[:size], "C")
+            return c, 1.0 - float(np.real(np.vdot(v[:size], c)))
+
+    padded = np.zeros(len(exps), dtype=np.complex128)
 
     def solve(size: int):
-        c = _band_solve(low[:, :size], y[:size], "C")
-        return c, 1.0 - float(np.real(np.vdot(v[:size], c)))
+        c, d2_solver = back_substitute(size)
+        padded[:size] = c
+        padded[size:] = 0.0
+        residual = a @ padded
+        residual[0] -= 1.0
+        # numpy's sum, not BLAS: threaded BLAS dots stalled later factorizations
+        d2 = float(np.sum(residual.real**2 + residual.imag**2))
+        if abs(d2 - d2_solver) > AGREE_TOL * max(1.0, abs(d2), abs(d2_solver)):
+            raise NumericalError(
+                "distance self-check failed: residual norm "
+                f"{d2:.15e} vs solver value {d2_solver:.15e}"
+            )
+        return c, min(max(d2, 0.0), 1.0)
 
-    return "cholesky", solve
-
-
-def _finalize(
-    f: Poly2,
-    space: SpaceSpec,
-    exps: np.ndarray,
-    spec: BasisSpec,
-    c: np.ndarray,
-    d2_formula: float,
-    method: str,
-) -> ApproximantResult:
-    p = _poly_from_basis(exps, c)
-    residual = p * f - 1.0
-    d2 = norm_squared(residual, space)
-    if abs(d2 - d2_formula) > AGREE_TOL * max(1.0, abs(d2), abs(d2_formula)):
-        raise NumericalError(
-            "distance self-check failed: residual norm "
-            f"{d2:.15e} vs solver value {d2_formula:.15e}"
-        )
-    d2 = min(max(d2, 0.0), 1.0)
-    return ApproximantResult(
-        p=p, distance_squared=d2, residual=residual, basis_spec=spec, method=method
-    )
+    return method, solve
 
 
 def optimal_approximant(f: Poly2, spec: BasisSpec, space: SpaceSpec) -> ApproximantResult:
     """Best approximant to 1/f on the basis spec.
 
-    The distance reported is the norm of the reconstructed residual; the
-    solver's algebraic value serves as a cross-check only.
+    The distance reported is ||A c - e_0||^2, the weighted norm of the
+    residual p*f - 1, checked against the solver's algebraic value.
     """
     exps = _exponents(basis_monomials(spec))
     method, solve = _prefix_solver(f, exps, space)
-    return _finalize(f, space, exps, spec, *solve(len(exps)), method)
+    c, d2 = solve(len(exps))
+    p = _poly_from_basis(exps, c)
+    return ApproximantResult(
+        p=p, distance_squared=d2, residual=p * f - 1.0, basis_spec=spec, method=method
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +323,15 @@ def distance_scan(
     """
     if n_max < 0:
         raise DegenerateInputError("n_max must be nonnegative")
-    if family == "total":
-        spec = BasisSpec.total
-        sizes = [(n + 1) * (n + 2) // 2 for n in range(n_max + 1)]
-    elif family == "diagonal":
-        spec = BasisSpec.diagonal
-        sizes = [n + 1 for n in range(n_max + 1)]
-    else:
+    if family not in ("total", "diagonal"):
         raise DegenerateInputError(f"unknown scan family {family!r}")
-    exps = _exponents(basis_monomials(spec(n_max)))
+    exps = _exponents(basis_monomials(BasisSpec(family, n_max)))
     method, solve = _prefix_solver(f, exps, space)
     rows = []
-    for n, size in enumerate(sizes):
-        result = _finalize(f, space, exps[:size], spec(n), *solve(size), method)
-        rows.append(ScanRow(n, size, result.distance_squared, result.distance, method))
+    for n in range(n_max + 1):
+        size = (n + 1) * (n + 2) // 2 if family == "total" else n + 1
+        d2 = solve(size)[1]
+        rows.append(ScanRow(n, size, d2, float(np.sqrt(d2)), method))
     return rows
 
 

@@ -10,8 +10,8 @@ A zero inside the open bidisk always defeats cyclicity.  The rule covers
 products through ``product_rule`` (a product is cyclic exactly when every
 factor is).  ``corroborate`` runs the full pipeline: zero search, torus
 classification, prediction, a distance scan with a decay label, and the
-evaluation lower bound when it applies; the report records whether the
-empirical label is consistent with the prediction.
+evaluation lower bound, a gate on every scan row, when it applies; the
+report records whether the empirical label agrees with the prediction.
 
 The one-variable case follows the same rule: a factor z - a with |a| = 1
 has a line of torus zeros (not cyclic once alpha > 1), while |a| > 1 keeps
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 from .approximant import (
+    AGREE_TOL,
     DecayConfig,
     DecayVerdict,
     decay_diagnostic,
@@ -31,7 +32,7 @@ from .approximant import (
     evaluation_bound_certificate,
     ScanRow,
 )
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2, coeff_norm, poly2_to_json_dict
 from .spaces import iso
 from .zeroset import (
@@ -155,20 +156,27 @@ def corroborate(
     The empirical label never overrides the prediction; "consistent" only
     reports whether the two point the same way.  A cyclic prediction is
     contradicted by a plateau, a non-cyclic one by a decaying sequence;
-    an inconclusive label is consistent with either.
+    an inconclusive label is consistent with either.  A distance below the
+    evaluation bound (by over one part in 1e9) raises ``NumericalError``.
     """
     bidisk = bidisk_zero_search(p, grid)
     torus = torus_zeros(p, tol)
     prediction = predict(p, alpha, torus, bidisk)
 
     scan = tuple(distance_scan(p, iso(alpha), n_max, family=family))
-    empirical: Optional[DecayVerdict] = None
-    if len(scan) >= 8:
-        empirical = decay_diagnostic([r.distance_squared for r in scan], decay)
-
     certificate = None
     if alpha > 2.0 and torus.kind != "empty":
         certificate = evaluation_bound_certificate(alpha)
+        for row in scan:
+            if row.distance < certificate * (1.0 - AGREE_TOL):
+                raise NumericalError(
+                    f"evaluation-bound certificate violated: d_{row.n} = "
+                    f"{row.distance:.15e} below the bound {certificate:.15e}"
+                )
+
+    empirical: Optional[DecayVerdict] = None
+    if len(scan) >= 8:
+        empirical = decay_diagnostic([r.distance_squared for r in scan], decay)
 
     consistent: Optional[bool] = None
     if empirical is not None and prediction.verdict != "not_applicable":

@@ -13,6 +13,7 @@ import pytest
 import scipy.special
 from scipy.linalg import solve_triangular
 
+from bidisk import approximant
 from bidisk.approximant import (
     BasisSpec,
     DecayConfig,
@@ -456,6 +457,35 @@ def test_scan_qr_route_matches_dense_least_squares():
         assert row.method == "qr"
         want = dense_lstsq_distance_sq(f, sp, basis_monomials(BasisSpec.total(row.n)))
         assert row.distance_squared == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ------------------------------------------------------------- self-check
+
+
+def test_self_check_trips_on_cholesky_route(monkeypatch):
+    # coefficients off by one part in 1e7 move the residual norm by about
+    # 5e-8 from the solver's value, far past AGREE_TOL
+    band_solve = approximant._band_solve
+
+    def perturbed(low, b, trans):
+        x = band_solve(low, b, trans)
+        return x * (1.0 + 1e-7) if trans == "C" else x
+
+    monkeypatch.setattr("bidisk.approximant._band_solve", perturbed)
+    with pytest.raises(NumericalError, match="self-check failed"):
+        distance_scan(P("2 - z1 - z2"), iso(1.0), 20)
+
+
+def test_self_check_trips_on_qr_route(monkeypatch):
+    # the QR route's value 1 - |y_s|^2 does not read c, and the optimal
+    # residual is orthogonal to the range of A, so a relative error eps in c
+    # moves the residual norm only by eps^2 (1 - d^2): eps = 1e-3 is needed
+    def perturbed(*args, **kwargs):
+        return solve_triangular(*args, **kwargs) * (1.0 + 1e-3)
+
+    monkeypatch.setattr("bidisk.approximant.solve_triangular", perturbed)
+    with pytest.raises(NumericalError, match="self-check failed"):
+        distance_scan(P("2 - z1 - z2"), iso(-8.0), 40)
 
 
 def test_solver_rejects_singular_system():

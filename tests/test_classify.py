@@ -16,7 +16,9 @@ from bidisk import (
     torus_zeros,
     bidisk_zero_search,
 )
-from bidisk.errors import DegenerateInputError
+from bidisk.approximant import ScanRow, distance_scan, evaluation_bound_certificate
+from bidisk.cli import main
+from bidisk.errors import DegenerateInputError, NumericalError
 
 P = parse_polynomial
 
@@ -143,6 +145,32 @@ def test_corroborate_plateau_with_certificate():
     assert rep.certificate == pytest.approx(np.sqrt(6.0) / np.pi, rel=1e-12)
     # every observed distance respects the lower bound
     assert min(r.distance for r in rep.scan) >= rep.certificate - 1e-9
+
+
+def _scan_with_low_row(f, space, n_max, family="total"):
+    # the real scan with row 5 pushed just below the evaluation bound at 3
+    rows = distance_scan(f, space, n_max, family=family)
+    d = 0.999 * evaluation_bound_certificate(3.0)
+    rows[5] = ScanRow(rows[5].n, rows[5].basis_size, d * d, d, rows[5].method)
+    return rows
+
+
+def test_corroborate_certificate_gate_rejects_row_below_bound(monkeypatch, capsys):
+    monkeypatch.setattr("bidisk.classify.distance_scan", _scan_with_low_row)
+    with pytest.raises(NumericalError, match="certificate violated: d_5"):
+        corroborate(P("2 - z1 - z2"), 3.0, n_max=12)
+    code = main(["classify", "-p", "2 - z1 - z2", "--alpha", "3", "--nmax", "12"])
+    assert code == 3
+    assert "evaluation-bound certificate violated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [3.0, 40.0])
+def test_corroborate_certificate_gate_passes_real_scan(alpha):
+    # at alpha = 40 the smallest distance meets the bound to the last digit,
+    # the tightest case the gate's 1e-9 relative slack is there for
+    rep = corroborate(P("2 - z1 - z2"), alpha, n_max=20)
+    assert rep.certificate == pytest.approx(evaluation_bound_certificate(alpha), rel=1e-12)
+    assert min(r.distance for r in rep.scan) >= rep.certificate * (1.0 - 1e-9)
 
 
 def test_corroborate_certificate_only_past_two():

@@ -1,0 +1,55 @@
+"""Property tests of distance scans over generated polynomials.
+
+Each f has bidegree at most (2, 2) and a constant term larger than the sum
+of the other coefficient moduli, so it has no zero on the closed bidisk.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bidisk.approximant import distance_scan
+from bidisk.operators import rotate
+from bidisk.poly import Poly2
+from bidisk.spaces import iso
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+angle = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
+
+
+@st.composite
+def dominant_constant_polys(draw):
+    m = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 2))
+    re = draw(st.lists(unit, min_size=(m + 1) * (n + 1), max_size=(m + 1) * (n + 1)))
+    im = draw(st.lists(unit, min_size=(m + 1) * (n + 1), max_size=(m + 1) * (n + 1)))
+    c = (np.array(re) + 1j * np.array(im)).reshape(m + 1, n + 1)
+    c[0, 0] = 0.0
+    c[0, 0] = np.abs(c).sum() + draw(st.floats(0.1, 2.0))
+    return Poly2(c)
+
+
+scan_args = dict(
+    f=dominant_constant_polys(),
+    alpha=st.floats(-2.0, 3.0, allow_nan=False),
+    n_max=st.integers(0, 8),
+    family=st.sampled_from(["total", "diagonal"]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**scan_args)
+def test_scan_in_unit_interval_and_non_increasing(f, alpha, n_max, family):
+    d2 = [r.distance_squared for r in distance_scan(f, iso(alpha), n_max, family=family)]
+    assert all(-1e-12 <= d <= 1.0 + 1e-12 for d in d2)
+    assert all(b <= a + 1e-12 for a, b in zip(d2, d2[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(theta=angle, phi=angle, **scan_args)
+def test_scan_unchanged_by_rotation(f, alpha, n_max, family, theta, phi):
+    a = distance_scan(f, iso(alpha), n_max, family=family)
+    b = distance_scan(rotate(f, np.exp(1j * theta), np.exp(1j * phi)), iso(alpha), n_max, family=family)
+    for ra, rb in zip(a, b):
+        assert rb.distance_squared == pytest.approx(ra.distance_squared, abs=1e-10)
