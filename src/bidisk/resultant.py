@@ -47,6 +47,12 @@ class ResultantDetail:
             self.zero_threshold < self.max_coeff <= INCONCLUSIVE_BAND * self.zero_threshold
         )
 
+    def trimmed(self) -> Poly1:
+        """The resultant with coefficients at most 1e-10 * max_coeff zeroed."""
+        c = self.coeffs.copy()
+        c[np.abs(c) <= 1e-10 * self.max_coeff] = 0.0
+        return Poly1(c)
+
 
 def _sylvester_stack(pvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
     """Stack of Sylvester matrices, one per evaluation node.
@@ -107,6 +113,4 @@ def resultant_z2(p: Poly2, q: Poly2, zero_rel_eps: float = ZERO_REL_EPS) -> Poly
             "resultant magnitude sits within 10x of the zero threshold "
             f"(max {detail.max_coeff:.3e}, threshold {detail.zero_threshold:.3e})"
         )
-    c = detail.coeffs.copy()
-    c[np.abs(c) <= 1e-10 * detail.max_coeff] = 0.0
-    return Poly1(c)
+    return detail.trimmed()

@@ -157,7 +157,7 @@ def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
             "torus classification refused: resultant within "
             f"{INCONCLUSIVE_BAND:.0f}x of its zero threshold"
         )
-    res = Poly1(_trim_noise(detail.coeffs, detail.max_coeff))
+    res = detail.trimmed()
     scale = coeff_norm(core)
     points: list[tuple[complex, complex]] = []
     for rho in roots_on_unit_circle(
@@ -177,12 +177,6 @@ def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
         return TorusZeroClass("empty")
     points.sort(key=lambda zz: (np.angle(zz[0]) % (2.0 * np.pi), np.angle(zz[1]) % (2.0 * np.pi)))
     return TorusZeroClass("finite", points=tuple(points))
-
-
-def _trim_noise(coeffs: np.ndarray, max_coeff: float) -> np.ndarray:
-    out = coeffs.copy()
-    out[np.abs(out) <= 1e-10 * max_coeff] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The closed forms for 1 - z1 and 1 - z1*z2 are validated here against a
 brute-force path that shares no code with the production solver: Gram
 matrices assembled entry by entry from direct inner products and solved
-with numpy's generic solver.  Both routes of the production solver are
-also checked row by row against dense solves for each basis alone, kept in
-this module: one dense Cholesky factorization and one SVD least squares.
+with numpy's generic solver.  The production solver is also checked row
+by row against dense solves for each basis alone, kept in this module:
+one dense Cholesky factorization and one SVD least squares.
 """
 
 import numpy as np
@@ -283,7 +283,6 @@ def test_banded_scan_matches_dense_solves(rng, family, alpha):
         rows = distance_scan(f, sp, n_max, family=family)
         for row in rows:
             dense = dense_cholesky_distance_sq(f, sp, basis_monomials(spec(row.n)))
-            assert row.method == "cholesky"
             assert row.distance_squared == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
@@ -418,45 +417,57 @@ def test_certificate_respected_by_scan():
         assert row.distance >= cert - 1e-6
 
 
-# ------------------------------------------------------------ QR fallback
+# ------------------------------------------------------------ negative alpha
 
 
-def test_qr_fallback_on_ill_conditioned_system():
+def test_opa_at_negative_alpha_matches_closed_form():
     # strongly negative alpha crushes the high-degree weights, so the Gram
-    # pivots collapse relative to the trace and the least squares route
-    # must take over
+    # pivots span many decades; that is diagonal scaling, which the banded
+    # Cholesky factor absorbs
     f = P("1 - z1")
     res = optimal_approximant(f, BasisSpec.box(40, 0), iso(-8.0))
-    assert res.method == "qr"
     assert 0.0 <= res.distance_squared <= 1.0
-    # the ill conditioned route still matches the closed form
     assert res.distance_squared == pytest.approx(
         closed_form_distance("one_minus_z1", -8.0, 40), rel=1e-6
     )
 
 
-def test_scan_qr_route_matches_closed_form():
-    # at alpha = -8 the nmax 40 factor trips the pivot gate, so every row
-    # of the scan takes the least squares route on the weighted operator
+def test_scan_at_negative_alpha_matches_closed_form():
     rows = distance_scan(P("1 - z1"), iso(-8.0), 40)
     assert len(rows) == 41
     for row in rows:
-        assert row.method == "qr"
         want = closed_form_distance("one_minus_z1", -8.0, row.n)
         assert row.distance_squared == pytest.approx(want, rel=1e-6)
 
 
-def test_scan_qr_route_matches_dense_least_squares():
-    # 2 - z1 - z2 has no closed form; at alpha = -8 every row takes the QR
-    # route, checked against one SVD least squares solve per row
+def test_scan_at_negative_alpha_matches_dense_least_squares():
+    # 2 - z1 - z2 has no closed form; at alpha = -8 every row is checked
+    # against one SVD least squares solve per row
     f = P("2 - z1 - z2")
     sp = iso(-8.0)
     rows = distance_scan(f, sp, 40)
     assert len(rows) == 41
     for row in rows:
-        assert row.method == "qr"
         want = dense_lstsq_distance_sq(f, sp, basis_monomials(BasisSpec.total(row.n)))
         assert row.distance_squared == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "text, name, alpha, n_max, family, rel",
+    [
+        ("1 - z1", "one_minus_z1", -16.0, 40, "total", 1e-9),
+        ("1 - z1*z2", "one_minus_z1z2", -12.0, 120, "diagonal", 1e-6),
+    ],
+    ids=["one_minus_z1", "one_minus_z1z2"],
+)
+def test_scan_at_strongly_negative_alpha_matches_closed_form(text, name, alpha, n_max, family, rel):
+    # the weights of the product monomials span 26 and 29 decades, and the
+    # last distances squared are about 4e-27 and 2e-30
+    rows = distance_scan(P(text), iso(alpha), n_max, family=family)
+    assert len(rows) == n_max + 1
+    for row in rows:
+        want = closed_form_distance(name, alpha, row.n)
+        assert row.distance_squared == pytest.approx(want, rel=rel, abs=0.0)
 
 
 # ------------------------------------------------------------- self-check
@@ -474,18 +485,6 @@ def test_self_check_trips_on_cholesky_route(monkeypatch):
     monkeypatch.setattr("bidisk.approximant._band_solve", perturbed)
     with pytest.raises(NumericalError, match="self-check failed"):
         distance_scan(P("2 - z1 - z2"), iso(1.0), 20)
-
-
-def test_self_check_trips_on_qr_route(monkeypatch):
-    # the QR route's value 1 - |y_s|^2 does not read c, and the optimal
-    # residual is orthogonal to the range of A, so a relative error eps in c
-    # moves the residual norm only by eps^2 (1 - d^2): eps = 1e-3 is needed
-    def perturbed(*args, **kwargs):
-        return solve_triangular(*args, **kwargs) * (1.0 + 1e-3)
-
-    monkeypatch.setattr("bidisk.approximant.solve_triangular", perturbed)
-    with pytest.raises(NumericalError, match="self-check failed"):
-        distance_scan(P("2 - z1 - z2"), iso(-8.0), 40)
 
 
 def test_solver_rejects_singular_system():

@@ -151,7 +151,7 @@ def _scan_with_low_row(f, space, n_max, family="total"):
     # the real scan with row 5 pushed just below the evaluation bound at 3
     rows = distance_scan(f, space, n_max, family=family)
     d = 0.999 * evaluation_bound_certificate(3.0)
-    rows[5] = ScanRow(rows[5].n, rows[5].basis_size, d * d, d, rows[5].method)
+    rows[5] = ScanRow(rows[5].n, rows[5].basis_size, d * d, d)
     return rows
 
 

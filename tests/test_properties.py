@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidisk.approximant import distance_scan
+from bidisk.approximant import BasisSpec, basis_monomials, distance_scan
 from bidisk.operators import rotate
 from bidisk.poly import Poly2
 from bidisk.spaces import iso
+from test_approximant import dense_lstsq_distance_sq
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 angle = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
@@ -53,3 +54,21 @@ def test_scan_unchanged_by_rotation(f, alpha, n_max, family, theta, phi):
     b = distance_scan(rotate(f, np.exp(1j * theta), np.exp(1j * phi)), iso(alpha), n_max, family=family)
     for ra, rb in zip(a, b):
         assert rb.distance_squared == pytest.approx(ra.distance_squared, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    f=dominant_constant_polys(),
+    alpha=st.floats(-12.0, 3.0, allow_nan=False),
+    n_max=st.integers(0, 10),
+    family=st.sampled_from(["total", "diagonal"]),
+)
+def test_scan_matches_dense_least_squares(f, alpha, n_max, family):
+    # negative alpha spreads the Gram pivots over many decades; every row
+    # must still match one SVD least squares solve for its basis alone.  A
+    # constant f has d = 0 exactly, hence the absolute floor.
+    sp = iso(alpha)
+    for row in distance_scan(f, sp, n_max, family=family):
+        basis = basis_monomials(BasisSpec(family, row.n))
+        want = dense_lstsq_distance_sq(f, sp, basis)
+        assert row.distance_squared == pytest.approx(want, rel=1e-9, abs=1e-15)
