@@ -11,7 +11,6 @@ recurrences and quotient spectra.
 from .approximant import (
     ApproximantResult,
     BasisSpec,
-    DecayConfig,
     DecayVerdict,
     ScanRow,
     basis_monomials,
@@ -61,8 +60,6 @@ from .spaces import (
 )
 from .zeroset import (
     BidiskZeroReport,
-    GridConfig,
-    TolConfig,
     TorusZeroClass,
     bidisk_zero_search,
     torus_zeros,
@@ -77,10 +74,8 @@ __all__ = [
     "BidiskZeroReport",
     "ClassificationReport",
     "ConvergenceError",
-    "DecayConfig",
     "DecayVerdict",
     "DegenerateInputError",
-    "GridConfig",
     "InconclusiveError",
     "NormTriple",
     "NumericalError",
@@ -93,7 +88,6 @@ __all__ = [
     "ResultantDetail",
     "ScanRow",
     "SpaceSpec",
-    "TolConfig",
     "TorusZeroClass",
     "aberth_roots",
     "aniso",

@@ -56,7 +56,6 @@ __all__ = [
     "distance_scan",
     "ScanRow",
     "closed_form_distance",
-    "DecayConfig",
     "DecayVerdict",
     "decay_diagnostic",
     "evaluation_bound_certificate",
@@ -224,7 +223,8 @@ def _prefix_solver(f: Poly2, exps: np.ndarray, space: SpaceSpec):
         residual[0] -= 1.0
         # numpy's sum, not BLAS: threaded BLAS dots stalled later factorizations
         d2 = float(np.sum(residual.real**2 + residual.imag**2))
-        if abs(d2 - d2_solver) > AGREE_TOL * max(1.0, abs(d2), abs(d2_solver)):
+        # written so that a NaN fails the check too
+        if not abs(d2 - d2_solver) <= AGREE_TOL * max(1.0, abs(d2), abs(d2_solver)):
             raise NumericalError(
                 "distance self-check failed: residual norm "
                 f"{d2:.15e} vs solver value {d2_solver:.15e}"
@@ -333,25 +333,16 @@ def evaluation_bound_certificate(alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayConfig:
-    plateau_floor: float = 1e-3
-    fit_tol: float = 5e-2
-    drop_ratio: float = 0.5
-    # a fitted positive limit is only believed when it accounts for most of
-    # the final sequence value; log-slow decays otherwise masquerade as
-    # plateaus over finite windows
-    plateau_credibility: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 <= self.plateau_floor < np.inf:
-            raise ValueError(f"plateau_floor must be finite and nonnegative, got {self.plateau_floor}")
-        if not 0.0 < self.fit_tol < np.inf:
-            raise ValueError(f"fit_tol must be finite and positive, got {self.fit_tol}")
-        for name in ("drop_ratio", "plateau_credibility"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+# Fixed thresholds of the decay label.  A plateau needs a good fit
+# (relative residual below FIT_TOL) whose limit exceeds PLATEAU_FLOOR and
+# accounts for at least PLATEAU_CREDIBILITY of the final value: log-slow
+# decays otherwise masquerade as plateaus over finite windows.  "decaying"
+# needs a good zero-limit fit and a final value below DROP_RATIO times the
+# first.
+PLATEAU_FLOOR = 1e-3
+FIT_TOL = 5e-2
+DROP_RATIO = 0.5
+PLATEAU_CREDIBILITY = 0.8
 
 
 @dataclass(frozen=True)
@@ -405,7 +396,7 @@ def _fit(model, n: np.ndarray, y: np.ndarray):
     return (name, tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
 
 
-def decay_diagnostic(ds: Sequence[float], config: DecayConfig = DecayConfig()) -> DecayVerdict:
+def decay_diagnostic(ds: Sequence[float]) -> DecayVerdict:
     """Label a distance-squared sequence by its apparent asymptotics.
 
     The sequence must be non-increasing (up to 1e-10 slack) with at least 8
@@ -438,12 +429,12 @@ def decay_diagnostic(ds: Sequence[float], config: DecayConfig = DecayConfig()) -
     if plateau_fit is not None:
         dinf = plateau_fit[1][0]
         if (
-            plateau_fit[2] < config.fit_tol
-            and dinf > config.plateau_floor
-            and dinf >= config.plateau_credibility * last
+            plateau_fit[2] < FIT_TOL
+            and dinf > PLATEAU_FLOOR
+            and dinf >= PLATEAU_CREDIBILITY * last
         ):
             return DecayVerdict("plateau", float(dinf), plateau_fit[0], plateau_fit[1], plateau_fit[2])
-    if best_zero is not None and best_zero[2] < config.fit_tol and last < first * config.drop_ratio:
+    if best_zero is not None and best_zero[2] < FIT_TOL and last < first * DROP_RATIO:
         return DecayVerdict("decaying", 0.0, best_zero[0], best_zero[1], best_zero[2])
     ref = min(fits, key=lambda f: f[2])
     return DecayVerdict("inconclusive", None, ref[0], ref[1], ref[2])

@@ -25,7 +25,6 @@ from typing import Literal, Optional, Sequence
 
 from .approximant import (
     AGREE_TOL,
-    DecayConfig,
     DecayVerdict,
     decay_diagnostic,
     distance_scan,
@@ -36,9 +35,8 @@ from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2, coeff_norm, poly2_to_json_dict
 from .spaces import iso
 from .zeroset import (
+    RESID_TOL,
     BidiskZeroReport,
-    GridConfig,
-    TolConfig,
     TorusZeroClass,
     bidisk_zero_search,
     torus_zeros,
@@ -67,7 +65,7 @@ def predict(p: Poly2, alpha: float, torus: TorusZeroClass, bidisk: BidiskZeroRep
     """Predicted cyclicity of p in the iso(alpha) space."""
     if bidisk.kind == "zero_found":
         return Prediction("not_cyclic", "zero found inside the bidisk")
-    floor = max(INCONCLUSIVE_FACTOR * bidisk.grid.resid_tol, 1e-6) * coeff_norm(p)
+    floor = max(INCONCLUSIVE_FACTOR * RESID_TOL, 1e-6) * coeff_norm(p)
     if bidisk.min_modulus <= floor:
         return Prediction(
             "not_applicable",
@@ -147,9 +145,6 @@ def corroborate(
     alpha: float,
     n_max: int = 40,
     family: Literal["total", "diagonal"] = "total",
-    tol: TolConfig = TolConfig(),
-    grid: GridConfig = GridConfig(),
-    decay: DecayConfig = DecayConfig(),
 ) -> ClassificationReport:
     """Predict cyclicity and cross-check against the distance sequence.
 
@@ -159,8 +154,8 @@ def corroborate(
     an inconclusive label is consistent with either.  A distance below the
     evaluation bound (by over one part in 1e9) raises ``NumericalError``.
     """
-    bidisk = bidisk_zero_search(p, grid)
-    torus = torus_zeros(p, tol)
+    bidisk = bidisk_zero_search(p)
+    torus = torus_zeros(p)
     prediction = predict(p, alpha, torus, bidisk)
 
     scan = tuple(distance_scan(p, iso(alpha), n_max, family=family))
@@ -176,7 +171,7 @@ def corroborate(
 
     empirical: Optional[DecayVerdict] = None
     if len(scan) >= 8:
-        empirical = decay_diagnostic([r.distance_squared for r in scan], decay)
+        empirical = decay_diagnostic([r.distance_squared for r in scan])
 
     consistent: Optional[bool] = None
     if empirical is not None and prediction.verdict != "not_applicable":

@@ -10,23 +10,24 @@ Subcommands:
 * ``recurrence``  coefficient recurrence residual grid as CSV
 * ``qsmooth``     quotient smoothness experiment as JSON
 
-Exit codes: 0 success, 1 usage, 2 input that cannot be parsed, 3 numerical
-failure, 4 inconclusive classification (the report is still written).
+Exit codes: 0 success, 1 usage, 2 input that cannot be parsed or a file
+that cannot be read or written, 3 numerical failure, 4 inconclusive
+classification (the report is still written).
 All floating point output is printed with 12 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import dataclasses
 import io
 import json
-import math
+import re
 import sys
 from typing import Optional, Sequence
 
-from .approximant import BasisSpec, DecayConfig, distance_scan, optimal_approximant
+from .approximant import BasisSpec, distance_scan, optimal_approximant
 from .classify import corroborate, predict, product_rule
 from .errors import (
     ConvergenceError,
@@ -40,7 +41,7 @@ from .formatting import round_floats, sig12
 from .poly import Poly2, poly2_from_json_dict, poly2_to_json_dict
 from .prooflab import q_smoothness, recurrence_residuals
 from .spaces import SpaceSpec, aniso, compare_norms, iso
-from .zeroset import GridConfig, TolConfig, bidisk_zero_search, torus_zeros
+from .zeroset import bidisk_zero_search, torus_zeros
 
 __all__ = ["main"]
 
@@ -108,65 +109,18 @@ def _single_alpha(args) -> float:
     return alphas[0]
 
 
-_CONFIG_CLASSES = (TolConfig, GridConfig, DecayConfig)
-# every override key with the type of its field (int or float)
-_CONFIG_KINDS = {
-    fld.name: type(fld.default) for cls in _CONFIG_CLASSES for fld in dataclasses.fields(cls)
-}
-
-
-def _config_value(key: str, value) -> float:
-    """An override as the int or float its field holds; ranges are checked
-    by the config classes themselves."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"config value for {key!r} must be a number, got {value!r}")
-    if _CONFIG_KINDS[key] is float:
-        return float(value)
-    if not (math.isfinite(value) and value == int(value)):
-        raise ParseError(f"config value for {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _gather_overrides(args) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {args.config}: {exc}") from None
-        if not isinstance(data, dict):
-            raise ParseError(f"{args.config} must hold a JSON object")
-        overrides.update(data)
-    for item in getattr(args, "set", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise _UsageError(f"--set expects key=value, got {item!r}")
-        try:
-            value = float(value)
-        except ValueError:
-            pass  # left a string, which _config_value rejects as for --config
-        overrides[key.strip()] = value
-    for key in overrides:
-        if key not in _CONFIG_KINDS:
-            raise _UsageError(f"unknown config key {key!r}")
-    return {key: _config_value(key, value) for key, value in overrides.items()}
-
-
-def _build_configs(overrides: dict[str, float]):
-    """(TolConfig, GridConfig, DecayConfig), each with the overrides it has."""
-    def pick(cls):
-        names = {fld.name for fld in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in overrides.items() if k in names})
-
-    return tuple(pick(cls) for cls in _CONFIG_CLASSES)
+@contextlib.contextmanager
+def _output_file(path: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _output_file(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -255,24 +209,20 @@ def _cmd_scan(args) -> int:
 
 def _cmd_zeros(args) -> int:
     f = _load_poly(args)
-    overrides = _gather_overrides(args)
-    tol, grid, _ = _build_configs(overrides)
     report: dict = {"polynomial": poly2_to_json_dict(f)}
     code = 0
     try:
-        report["torus"] = torus_zeros(f, tol).to_json_dict()
+        report["torus"] = torus_zeros(f).to_json_dict()
     except InconclusiveError as exc:
         report["torus"] = None
         report["inconclusive"] = str(exc)
         code = 4
-    report["bidisk"] = bidisk_zero_search(f, grid).to_json_dict()
+    report["bidisk"] = bidisk_zero_search(f).to_json_dict()
     _emit_json(report, args.out)
     return code
 
 
 def _cmd_classify(args) -> int:
-    overrides = _gather_overrides(args)
-    tol, grid, decay = _build_configs(overrides)
     alpha = _single_alpha(args)
 
     if args.factors:
@@ -283,9 +233,9 @@ def _cmd_classify(args) -> int:
         predictions = []
         for text in exprs:
             poly = parse_polynomial(text)
-            bidisk = bidisk_zero_search(poly, grid)
+            bidisk = bidisk_zero_search(poly)
             try:
-                torus = torus_zeros(poly, tol)
+                torus = torus_zeros(poly)
             except InconclusiveError as exc:
                 factor_reports.append(
                     {
@@ -323,15 +273,7 @@ def _cmd_classify(args) -> int:
 
     f = _load_poly(args)
     try:
-        report = corroborate(
-            f,
-            alpha,
-            n_max=args.nmax,
-            family=args.family,
-            tol=tol,
-            grid=grid,
-            decay=decay,
-        )
+        report = corroborate(f, alpha, n_max=args.nmax, family=args.family)
     except InconclusiveError as exc:
         _emit_json(
             {
@@ -374,11 +316,9 @@ def _parse_zero_list(text: str) -> list[tuple[complex, complex]]:
 def _cmd_qsmooth(args) -> int:
     p = _load_poly(args)
     zeros = _parse_zero_list(args.zeros) if args.zeros else []
-    report = q_smoothness(
-        p, zeros, args.exponent, grid_size=args.grid, resid_tol=args.resid_tol
-    )
+    report = q_smoothness(p, zeros, args.exponent, grid_size=args.grid)
     if args.qhat_csv:
-        with open(args.qhat_csv, "w", encoding="utf-8", newline="") as fh:
+        with _output_file(args.qhat_csv) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["k", "l", "abs_qhat"])
             for k, l, mag in report.qhat_rows():
@@ -393,16 +333,6 @@ def _cmd_qsmooth(args) -> int:
 def _add_poly_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--poly", help="polynomial expression in z1, z2")
     p.add_argument("--poly-json", help="path to a polynomial JSON file")
-
-
-def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with tolerance overrides")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one tolerance (repeatable)",
-    )
 
 
 def _build_parser() -> _Parser:
@@ -436,13 +366,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("zeros", help="torus classification and bidisk search")
     _add_poly_args(p)
-    _add_config_args(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("classify", help="full cyclicity report")
     _add_poly_args(p)
-    _add_config_args(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--nmax", type=int, default=40)
     p.add_argument("--family", choices=["total", "diagonal"], default="total")
@@ -468,7 +396,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--exponent", type=int, required=True, help="numerator exponent N")
     p.add_argument("--grid", type=int, default=512, help="FFT grid size (power of two)")
-    p.add_argument("--resid-tol", type=float, default=1e-8)
     p.add_argument("--qhat-csv", help="also dump DFT magnitudes to this CSV")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_qsmooth)
@@ -476,10 +403,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# argparse takes "-8" as a value but reads "-8,-2" as an unknown option
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _glue_alpha(argv: Sequence[str]) -> list[str]:
+    """argv with ``--alpha VALUE`` written ``--alpha=VALUE`` wherever VALUE
+    starts like a negative number."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alpha" and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"--alpha={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
         if not getattr(args, "command", None):
             raise _UsageError("a subcommand is required (see --help)")
         return args.func(args)

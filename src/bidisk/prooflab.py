@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .poly import Poly2, coeff_norm, poly2_to_json_dict
 from .spaces import iso, norm_squared
+from .zeroset import RESID_TOL
 
 __all__ = [
     "RecurrenceResidualGrid",
@@ -145,11 +146,10 @@ def q_smoothness(
     zeros: Sequence[tuple[complex, complex]],
     n: int,
     grid_size: int = 512,
-    resid_tol: float = 1e-8,
 ) -> QExperimentReport:
     """Spectral smoothness report for Q = g/p on the torus grid.
 
-    Q is set to 0 at grid points where |p| falls below resid_tol times the
+    Q is set to 0 at grid points where |p| falls below RESID_TOL times the
     coefficient norm; such points must sit next to a declared zero,
     otherwise the declared zero list cannot be trusted and a ValueError is
     raised.  grid_size must be a power of two no smaller than four times
@@ -167,7 +167,7 @@ def q_smoothness(
 
     pvals = _torus_samples(p, grid_size)
     gvals = _torus_samples(g, grid_size)
-    small = np.abs(pvals) <= resid_tol * coeff_norm(p)
+    small = np.abs(pvals) <= RESID_TOL * coeff_norm(p)
     if small.any():
         w = np.exp(2j * np.pi / grid_size)
         us, vs = np.nonzero(small)

@@ -20,7 +20,7 @@ point inside the search region) or the smallest modulus seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Literal, Optional
 
 import numpy as np
@@ -32,27 +32,30 @@ from .resultant import INCONCLUSIVE_BAND, resultant_z2_detail
 from .rootfind import roots_on_unit_circle
 
 __all__ = [
-    "TolConfig",
     "TorusZeroClass",
     "torus_zeros",
-    "GridConfig",
     "BidiskZeroReport",
     "bidisk_zero_search",
 ]
 
+# Fixed tolerances: a certified verdict ("zero_found", a torus class) rests
+# on them, so they are not open to callers.  RESID_TOL, relative to the
+# coefficient norm, certifies a zero both on the torus and in the bidisk.
+CIRCLE_TOL = 1e-6
+CLUSTER_TOL = 1e-5
+PROPORTIONAL_TOL = 1e-8
+RESID_TOL = 1e-8
 
-@dataclass(frozen=True)
-class TolConfig:
-    circle_tol: float = 1e-6
-    resid_tol: float = 1e-8
-    proportional_tol: float = 1e-8
-    cluster_tol: float = 1e-5
-
-    def __post_init__(self):
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{fld.name} must be finite and positive, got {value}")
+# The bidisk search: polar grids over the polydisk of radius 1 - DELTA, the
+# coarse one searched as its own product, then zoom and Gauss-Newton from
+# the best REFINE_TOP points.
+DELTA = 1e-3
+RADII = 64
+ANGLES = 256
+COARSE_RADII = 16
+COARSE_ANGLES = 64
+REFINE_TOP = 48
+NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,8 @@ def _strip_monomial(p: Poly2) -> Poly2:
     return Poly2(c[a:, b:])
 
 
-def _univariate_torus(coeffs: Poly1, variable: str, tol: TolConfig) -> TorusZeroClass:
-    roots = roots_on_unit_circle(
-        coeffs,
-        circle_tol=tol.circle_tol,
-        cluster_tol=tol.cluster_tol,
-    )
+def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
+    roots = roots_on_unit_circle(coeffs, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL)
     if not roots:
         return TorusZeroClass("empty")
     return TorusZeroClass(
@@ -126,7 +125,7 @@ def _univariate_torus(coeffs: Poly1, variable: str, tol: TolConfig) -> TorusZero
     )
 
 
-def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
+def torus_zeros(p: Poly2) -> TorusZeroClass:
     """Classify the zero set of p on the unit torus.
 
     Raises InconclusiveError when the resultant's zero test lands too close
@@ -140,12 +139,12 @@ def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
         # a pure monomial times a constant never vanishes on the torus
         return TorusZeroClass("empty")
     if n == 0:
-        return _univariate_torus(Poly1(core.coeffs[:, 0]), "z1", tol)
+        return _univariate_torus(Poly1(core.coeffs[:, 0]), "z1")
     if m == 0:
-        return _univariate_torus(Poly1(core.coeffs[0, :]), "z2", tol)
+        return _univariate_torus(Poly1(core.coeffs[0, :]), "z2")
 
     mirror = reflect(core)
-    lam = proportional(core, mirror, tol.proportional_tol)
+    lam = proportional(core, mirror, PROPORTIONAL_TOL)
     if lam is not None:
         return TorusZeroClass("infinite", witness="proportional_reflection", witness_data=lam)
 
@@ -160,18 +159,14 @@ def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
     res = detail.trimmed()
     scale = coeff_norm(core)
     points: list[tuple[complex, complex]] = []
-    for rho in roots_on_unit_circle(
-        res, circle_tol=tol.circle_tol, cluster_tol=tol.cluster_tol
-    ):
+    for rho in roots_on_unit_circle(res, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL):
         sl = slice_z1(core, rho)
-        if np.abs(sl.coeffs).max() <= tol.resid_tol * scale:
+        if np.abs(sl.coeffs).max() <= RESID_TOL * scale:
             return TorusZeroClass(
                 "infinite", witness="line_factor", witness_data=("z1", rho)
             )
-        for sigma in roots_on_unit_circle(
-            sl, circle_tol=tol.circle_tol, cluster_tol=tol.cluster_tol
-        ):
-            if abs(core.evaluate(rho, sigma)) <= tol.resid_tol * scale:
+        for sigma in roots_on_unit_circle(sl, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL):
+            if abs(core.evaluate(rho, sigma)) <= RESID_TOL * scale:
                 points.append((rho, sigma))
     if not points:
         return TorusZeroClass("empty")
@@ -185,50 +180,10 @@ def torus_zeros(p: Poly2, tol: TolConfig = TolConfig()) -> TorusZeroClass:
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    delta: float = 1e-3
-    radii: int = 64
-    angles: int = 256
-    coarse_radii: int = 16
-    coarse_angles: int = 64
-    refine_top: int = 48
-    newton_steps: int = 60
-    resid_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        for name in ("radii", "angles", "coarse_radii", "coarse_angles", "refine_top"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        # the coarse grid is searched as its own product, 64 rows at a time:
-        # 4096 points make 16.8 M pairs
-        coarse = self.coarse_radii * self.coarse_angles
-        if coarse > 4096:
-            raise ValueError(f"coarse_radii * coarse_angles must be at most 4096, got {coarse}")
-        if self.refine_top > 4096:
-            raise ValueError(f"refine_top must be at most 4096, got {self.refine_top}")
-        if not 0 <= self.newton_steps <= 1000:
-            raise ValueError(f"newton_steps must lie in [0, 1000], got {self.newton_steps}")
-        if not self.resid_tol > 0.0:
-            raise ValueError(f"resid_tol must be positive, got {self.resid_tol}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "radii": self.radii,
-            "angles": self.angles,
-            "coarse_radii": self.coarse_radii,
-            "coarse_angles": self.coarse_angles,
-        }
-
-
-@dataclass(frozen=True)
 class BidiskZeroReport:
     kind: Literal["zero_found", "none_found_heuristic"]
     point: Optional[tuple[complex, complex]]
     min_modulus: float
-    grid: GridConfig = field(default_factory=GridConfig)
 
     def to_json_dict(self) -> dict:
         if self.kind == "zero_found":
@@ -241,7 +196,13 @@ class BidiskZeroReport:
         return {
             "bidisk": "none_found_heuristic",
             "min_modulus": self.min_modulus,
-            "grid": self.grid.to_json_dict(),
+            "grid": {
+                "delta": DELTA,
+                "radii": RADII,
+                "angles": ANGLES,
+                "coarse_radii": COARSE_RADII,
+                "coarse_angles": COARSE_ANGLES,
+            },
         }
 
 
@@ -328,26 +289,25 @@ def _gauss_newton(p: Poly2, z1: complex, z2: complex, rmax: float, steps: int):
     return complex(z[0]), complex(z[1]), abs(p.evaluate(z[0], z[1]))
 
 
-def bidisk_zero_search(p: Poly2, grid: GridConfig = GridConfig()) -> BidiskZeroReport:
+def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     """Heuristic zero search on the closed polydisk of radius 1 - delta.
 
-    "zero_found" is certified (modulus below resid_tol times the coefficient
+    "zero_found" is certified (modulus below RESID_TOL times the coefficient
     norm at a point inside the region); "none_found_heuristic" only reports
     the smallest modulus encountered and is not a proof of nonvanishing.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
-    rmax = 1.0 - grid.delta
-    scale = coeff_norm(p)
-    tol = grid.resid_tol * scale
+    rmax = 1.0 - DELTA
+    tol = RESID_TOL * coeff_norm(p)
 
-    coarse = _polar_points(rmax, grid.coarse_radii, grid.coarse_angles)
-    rstep = rmax / max(grid.coarse_radii - 1, 1)
-    astep = 2.0 * np.pi / grid.coarse_angles
-    fine_r = rmax / max(grid.radii - 1, 1)
-    fine_a = 2.0 * np.pi / grid.angles
+    coarse = _polar_points(rmax, COARSE_RADII, COARSE_ANGLES)
+    rstep = rmax / (COARSE_RADII - 1)
+    astep = 2.0 * np.pi / COARSE_ANGLES
+    fine_r = rmax / (RADII - 1)
+    fine_a = 2.0 * np.pi / ANGLES
 
-    tops = _topk_product(p, coarse, coarse, grid.refine_top)
+    tops = _topk_product(p, coarse, coarse, REFINE_TOP)
     starts = _distinct_candidates(tops, min_sep=2.5 * rstep, limit=8)
 
     best = tops[0][0]
@@ -355,7 +315,7 @@ def bidisk_zero_search(p: Poly2, grid: GridConfig = GridConfig()) -> BidiskZeroR
     for val, z1c, z2c in starts:
         z1c, z2c, val = _zoom(p, z1c, z2c, rstep, astep, rmax)
         z1c, z2c, val = _zoom(p, z1c, z2c, fine_r, fine_a, rmax)
-        z1n, z2n, vn = _gauss_newton(p, complex(z1c), complex(z2c), rmax, grid.newton_steps)
+        z1n, z2n, vn = _gauss_newton(p, complex(z1c), complex(z2c), rmax, NEWTON_STEPS)
         if vn < val:
             z1c, z2c, val = z1n, z2n, vn
         if val < best:
@@ -364,5 +324,5 @@ def bidisk_zero_search(p: Poly2, grid: GridConfig = GridConfig()) -> BidiskZeroR
 
     z1b, z2b = best_pt
     if best <= tol and abs(z1b) <= rmax + 1e-12 and abs(z2b) <= rmax + 1e-12:
-        return BidiskZeroReport("zero_found", (complex(z1b), complex(z2b)), best, grid)
-    return BidiskZeroReport("none_found_heuristic", None, best, grid)
+        return BidiskZeroReport("zero_found", (complex(z1b), complex(z2b)), best)
+    return BidiskZeroReport("none_found_heuristic", None, best)

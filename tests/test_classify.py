@@ -5,7 +5,6 @@ import pytest
 
 from bidisk import (
     BidiskZeroReport,
-    GridConfig,
     Prediction,
     TorusZeroClass,
     corroborate,
@@ -22,9 +21,9 @@ from bidisk.errors import DegenerateInputError, NumericalError
 
 P = parse_polynomial
 
-CLEAN = BidiskZeroReport("none_found_heuristic", None, 0.5, GridConfig())
-ZERO_HIT = BidiskZeroReport("zero_found", (0.1 + 0j, 0.2 + 0j), 1e-12, GridConfig())
-LOW_MARGIN = BidiskZeroReport("none_found_heuristic", None, 1e-7, GridConfig())
+CLEAN = BidiskZeroReport("none_found_heuristic", None, 0.5)
+ZERO_HIT = BidiskZeroReport("zero_found", (0.1 + 0j, 0.2 + 0j), 1e-12)
+LOW_MARGIN = BidiskZeroReport("none_found_heuristic", None, 1e-7)
 
 EMPTY = TorusZeroClass("empty")
 FINITE = TorusZeroClass("finite", points=((1 + 0j, 1 + 0j),))

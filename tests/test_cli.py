@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bidisk import closed_form_distance, parse_polynomial, poly2_to_json_dict
-from bidisk.cli import _build_configs, main
+from bidisk.cli import main
 from bidisk.errors import InconclusiveError, NumericalError
 
 
@@ -113,6 +113,20 @@ def test_scan_csv_structure(capsys):
         assert all(a >= b - 1e-12 for a, b in zip(d, d[1:]))
 
 
+def test_scan_negative_alpha_list_after_a_space(capsys):
+    args = ("scan", "-p", "1 - z1*z2", "--nmax", "60", "--family", "diagonal")
+    glued = run(capsys, *args, "--alpha=-8,-2")
+    spaced = run(capsys, *args, "--alpha", "-8,-2")
+    assert glued[0] == 0
+    assert spaced == glued
+
+
+def test_norm_negative_alpha_list_after_a_space(capsys):
+    code, out, _ = run(capsys, "norm", "-p", "1 + z1", "--alpha", "-1,-.5")
+    assert code == 0
+    assert out.splitlines()[0].startswith("alpha=-1 iso=1.5 ")
+
+
 # ---------------------------------------------------------------- zeros
 
 
@@ -133,67 +147,50 @@ def test_zeros_interior_zero(capsys):
     assert doc["bidisk"]["bidisk"] == "zero_found"
 
 
-@pytest.mark.parametrize("setting", ["delta=2", "delta=-1", "coarse_radii=0", "coarse_angles=0", "refine_top=0"])
-def test_zeros_out_of_range_grid_is_an_input_error(capsys, setting):
-    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("input error: " + setting.split("=")[0])
+def test_zeros_zero_free_reports_its_search_grid(capsys):
+    code, out, _ = run(capsys, "zeros", "-p", "3 - z1 - z2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["torus"] == {"torus": "empty"}
+    assert doc["bidisk"] == {
+        "bidisk": "none_found_heuristic",
+        "min_modulus": pytest.approx(1.002, rel=1e-9),
+        "grid": {
+            "delta": 0.001,
+            "radii": 64,
+            "angles": 256,
+            "coarse_radii": 16,
+            "coarse_angles": 64,
+        },
+    }
 
 
 @pytest.mark.parametrize(
-    "setting, message",
+    "argv",
     [
-        ("radii=abc", "config value for 'radii' must be a number, got 'abc'"),
-        ("delta=abc", "config value for 'delta' must be a number, got 'abc'"),
-        ("radii=inf", "'radii' must be an integer"),
-        ("radii=1.5", "'radii' must be an integer"),
-        ("newton_steps=nan", "'newton_steps' must be an integer"),
-        ("delta=nan", "delta must lie in (0, 1)"),
-        ("circle_tol=-1", "circle_tol must be finite and positive"),
-        ("resid_tol=inf", "resid_tol must be finite and positive"),
-        ("cluster_tol=nan", "cluster_tol must be finite and positive"),
-        ("fit_tol=nan", "fit_tol must be finite and positive"),
-        ("plateau_floor=-1", "plateau_floor must be finite and nonnegative"),
-        ("drop_ratio=0", "drop_ratio must lie in (0, 1]"),
-        ("plateau_credibility=1.5", "plateau_credibility must lie in (0, 1]"),
+        ("zeros", "-p", "3 - z1 - z2", "--set", "resid_tol=10"),
+        ("zeros", "-p", "3 - z1 - z2", "--set", "circle_tol=0.9", "--set", "resid_tol=1"),
+        ("classify", "-p", "3 - z1 - z2", "--alpha", "3", "--set", "resid_tol=10"),
+        ("qsmooth", "-p", "3 - z1 - z2", "--exponent", "0", "--grid", "64", "--resid-tol", "1"),
     ],
 )
-def test_set_out_of_range_config_is_an_input_error(capsys, setting, message):
-    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
-    assert code == 2
+def test_tolerance_override_is_refused(capsys, argv):
+    # a loosened tolerance once certified a zero of this zero-free polynomial
+    code, out, err = run(capsys, *argv)
+    assert code == 1
     assert out == ""
-    assert err.startswith("input error: ")
-    assert message in err
+    assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ('{"delta": [1]}', "'delta' must be a number"),
-        ('{"delta": "0.01"}', "'delta' must be a number"),
-        ('{"radii": "abc"}', "config value for 'radii' must be a number, got 'abc'"),
-        ('{"radii": true}', "'radii' must be a number"),
-        ('{"radii": 1.5}', "'radii' must be an integer"),
-        ('{"radii": Infinity}', "'radii' must be an integer"),
-        ('{"fit_tol": NaN}', "fit_tol must be finite and positive"),
-    ],
-)
-def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--config", str(cfg))
-    assert code == 2
+def test_config_file_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"resid_tol": 10}))
+    code, out, err = run(
+        capsys, "classify", "-p", "3 - z1 - z2", "--alpha", "3", "--config", str(cfg)
+    )
+    assert code == 1
     assert out == ""
-    assert err.startswith("input error: ")
-    assert message in err
-
-
-def test_resid_tol_override_reaches_both_configs():
-    tol, grid, decay = _build_configs({"resid_tol": 1e-6, "radii": 8, "fit_tol": 0.1})
-    assert tol.resid_tol == grid.resid_tol == 1e-6
-    assert grid.radii == 8 and isinstance(grid.radii, int)
-    assert decay.fit_tol == 0.1
+    assert "unrecognized arguments: --config" in err
 
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
@@ -231,23 +228,6 @@ def test_classify_inconclusive_exit4_report_written(capsys):
     doc = json.loads(out)
     assert doc["predicted"] == "not_applicable"
     assert "noise floor" in doc["reason"]
-
-
-def test_classify_override_recovers(capsys):
-    code, out, _ = run(
-        capsys,
-        "classify",
-        "-p",
-        "(1 - z1)^2",
-        "--alpha",
-        "1",
-        "--nmax",
-        "8",
-        "--set",
-        "delta=0.05",
-    )
-    assert code == 0
-    assert json.loads(out)["predicted"] == "cyclic"
 
 
 def test_classify_constant_is_cyclic(capsys):
@@ -393,25 +373,23 @@ def test_out_file_and_poly_json_round_trip(capsys, tmp_path):
     assert out.startswith("alpha=1 iso=")
 
 
-def test_config_file_and_set_precedence(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 0.001}))
-    code, out, _ = run(
-        capsys,
-        "classify",
-        "-p",
-        "(1 - z1)^2",
-        "--alpha",
-        "1",
-        "--nmax",
-        "8",
-        "--config",
-        str(cfg),
-        "--set",
-        "delta=0.05",
+def test_exit_unwritable_out(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "norm", "-p", "1 + z1", "--alpha", "1", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot write {path}: ")
+
+
+def test_exit_unwritable_qhat_csv(capsys, tmp_path):
+    path = tmp_path / "missing" / "qhat.csv"
+    code, out, err = run(
+        capsys, "qsmooth", "-p", "2 - z1 - z2", "--zeros", "1,1",
+        "--exponent", "2", "--grid", "32", "--qhat-csv", str(path),
     )
-    assert code == 0
-    assert json.loads(out)["predicted"] == "cyclic"
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: cannot write {path}: ")
 
 
 # ------------------------------------------------------------- exit codes
@@ -426,14 +404,14 @@ def test_exit_usage_unknown_config_key(capsys):
         capsys, "zeros", "-p", "1 - z1", "--set", "bogus=1"
     )
     assert code == 1
-    assert "unknown config key" in err
+    assert "unrecognized arguments: --set bogus=1" in err
 
 
 def test_exit_usage_set_without_value(capsys):
     code, out, err = run(capsys, "zeros", "-p", "1 - z1", "--set", "radii")
     assert code == 1
     assert out == ""
-    assert "--set expects key=value" in err
+    assert "unrecognized arguments: --set radii" in err
 
 
 def test_exit_usage_poly_conflict(capsys, tmp_path):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from bidisk import (
-    GridConfig,
     Poly2,
-    TolConfig,
     bidisk_zero_search,
     parse_polynomial,
     rotate,
     torus_zeros,
 )
 from bidisk.errors import DegenerateInputError
+from bidisk.zeroset import CIRCLE_TOL, DELTA, RESID_TOL
 
 P = parse_polynomial
 
@@ -169,10 +168,10 @@ def test_bidisk_finds_interior_zero():
     assert rep.kind == "zero_found"
     z1, z2 = rep.point
     assert abs(z1 * z2 - 0.25) < 1e-6
-    rmax = 1.0 - rep.grid.delta
+    rmax = 1.0 - DELTA
     assert abs(z1) <= rmax + 1e-9
     assert abs(z2) <= rmax + 1e-9
-    assert abs(p.evaluate(z1, z2)) <= rep.grid.resid_tol * 0.25 * np.sqrt(17.0)
+    assert abs(p.evaluate(z1, z2)) <= RESID_TOL * 0.25 * np.sqrt(17.0)
 
 
 def test_bidisk_boundary_zero_reports_margin():
@@ -199,53 +198,6 @@ def test_bidisk_squared_factor_stays_heuristic():
     assert rep.min_modulus == pytest.approx(1e-6, rel=0.2)
 
 
-def test_bidisk_respects_delta_override():
-    grid = GridConfig(delta=0.05)
-    rep = bidisk_zero_search(P("2 - z1 - z2"), grid)
-    assert rep.kind == "none_found_heuristic"
-    assert rep.min_modulus == pytest.approx(0.1, rel=5e-2)
-
-
-@pytest.mark.parametrize(
-    "override",
-    [
-        {"delta": 0.0},
-        {"delta": 1.0},
-        {"delta": 2.0},
-        {"delta": -1.0},
-        {"delta": float("nan")},
-        {"radii": 0},
-        {"angles": 0},
-        {"coarse_radii": 0},
-        {"coarse_angles": 0},
-        {"refine_top": 0},
-        {"newton_steps": -1},
-        {"newton_steps": 1001},
-        {"refine_top": 4097},
-        {"coarse_radii": 4096, "coarse_angles": 4096},
-        {"coarse_angles": 4097, "coarse_radii": 1},
-        {"coarse_radii": 65},
-        {"resid_tol": 0.0},
-        {"resid_tol": -1e-8},
-    ],
-)
-def test_grid_config_rejects_out_of_range(override):
-    with pytest.raises(ValueError, match=next(iter(override))):
-        GridConfig(**override)
-
-
-def test_grid_config_accepts_upper_bounds():
-    GridConfig(coarse_radii=64, coarse_angles=64, refine_top=4096, newton_steps=1000)
-    GridConfig(coarse_radii=1, coarse_angles=4096)
-
-
-def test_grid_config_smallest_valid_grid_searches():
-    grid = GridConfig(radii=1, angles=1, coarse_radii=1, coarse_angles=1, refine_top=1, newton_steps=0)
-    rep = bidisk_zero_search(P("2 - z1 - z2"), grid)
-    assert rep.kind == "none_found_heuristic"
-    assert rep.min_modulus == pytest.approx(2e-3)
-
-
 def test_bidisk_nonvanishing_constant():
     rep = bidisk_zero_search(P("1"))
     assert rep.kind == "none_found_heuristic"
@@ -270,21 +222,6 @@ def test_bidisk_json_shapes():
 
 
 def test_tolconfig_defaults():
-    tol = TolConfig()
-    assert tol.circle_tol == 1e-6
-    assert tol.resid_tol == 1e-8
+    assert CIRCLE_TOL == 1e-6
+    assert RESID_TOL == 1e-8
 
-
-@pytest.mark.parametrize(
-    "override",
-    [
-        {"circle_tol": -1.0},
-        {"circle_tol": 0.0},
-        {"resid_tol": float("inf")},
-        {"proportional_tol": float("nan")},
-        {"cluster_tol": -1e-5},
-    ],
-)
-def test_tolconfig_rejects_out_of_range(override):
-    with pytest.raises(ValueError, match=next(iter(override))):
-        TolConfig(**override)
