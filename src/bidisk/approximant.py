@@ -35,10 +35,14 @@ they corroborate, never replace, the zero-set classification.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 from typing import Literal, Optional, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.optimize import least_squares
@@ -176,9 +180,50 @@ def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
     return band
 
 
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy.
+
+    None where scipy's LAPACK is another library or the OpenBLAS is not in
+    the wheel's bundled-library directory.
+    """
+    pkg = os.path.dirname(scipy.__file__)
+    for path in glob.glob(os.path.join(pkg + ".libs", "*openblas*")) + glob.glob(
+        os.path.join(pkg, ".dylibs", "*openblas*")
+    ):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", ""), ("scipy_", "64_"), ("", ""), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+_OPENBLAS_THREADS = _openblas_thread_calls()
+
+
 def _band_cholesky(band: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor in band storage, computed in place."""
-    low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
+    """Lower Cholesky factor in band storage, computed in place.
+
+    The factorization runs on one OpenBLAS thread.  Its unblocked kernel
+    hands every column's rank-one update to the thread pool: at the
+    bandwidths used here (kd 17-25) two threads are several times slower
+    than one, and the first call after an idle spell can stall for about a
+    second while the second thread wakes.
+    """
+    if _OPENBLAS_THREADS is None:
+        low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
+    else:
+        get, put = _OPENBLAS_THREADS
+        threads = get()
+        put(1)
+        try:
+            low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
+        finally:
+            put(threads)
     if info != 0:
         raise NumericalError(f"Gram matrix is not positive definite (leading minor {info})")
     return low

@@ -193,6 +193,68 @@ def test_config_file_is_refused(capsys, tmp_path):
     assert "unrecognized arguments: --config" in err
 
 
+# The cases below are the out-of-range settings a range check once answered
+# with exit 2 and `message`. The tolerances are now fixed, so the same
+# attempt is refused as an unknown flag (exit 1) before any value is read,
+# and nothing reaches stdout.
+
+
+@pytest.mark.parametrize("setting", ["delta=2", "delta=-1", "coarse_radii=0", "coarse_angles=0", "refine_top=0"])
+def test_zeros_out_of_range_grid_is_an_input_error(capsys, setting):
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: --set {setting}" in err
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("radii=abc", "config value for 'radii' must be a number, got 'abc'"),
+        ("delta=abc", "config value for 'delta' must be a number, got 'abc'"),
+        ("radii=inf", "'radii' must be an integer"),
+        ("radii=1.5", "'radii' must be an integer"),
+        ("newton_steps=nan", "'newton_steps' must be an integer"),
+        ("delta=nan", "delta must lie in (0, 1)"),
+        ("circle_tol=-1", "circle_tol must be finite and positive"),
+        ("resid_tol=inf", "resid_tol must be finite and positive"),
+        ("cluster_tol=nan", "cluster_tol must be finite and positive"),
+        ("fit_tol=nan", "fit_tol must be finite and positive"),
+        ("plateau_floor=-1", "plateau_floor must be finite and nonnegative"),
+        ("drop_ratio=0", "drop_ratio must lie in (0, 1]"),
+        ("plateau_credibility=1.5", "plateau_credibility must lie in (0, 1]"),
+    ],
+)
+def test_set_out_of_range_config_is_an_input_error(capsys, setting, message):
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--set", setting)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: --set {setting}" in err
+    assert message not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"delta": [1]}', "'delta' must be a number"),
+        ('{"delta": "0.01"}', "'delta' must be a number"),
+        ('{"radii": "abc"}', "config value for 'radii' must be a number, got 'abc'"),
+        ('{"radii": true}', "'radii' must be a number"),
+        ('{"radii": 1.5}', "'radii' must be an integer"),
+        ('{"radii": Infinity}', "'radii' must be an integer"),
+        ('{"fit_tol": NaN}', "fit_tol must be finite and positive"),
+    ],
+)
+def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "zeros", "-p", "2 - z1 - z2", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: --config {cfg}" in err
+    assert message not in err
+
+
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
     def refuse(*a, **k):
         raise InconclusiveError("borderline resultant")

@@ -198,6 +198,36 @@ def test_bidisk_squared_factor_stays_heuristic():
     assert rep.min_modulus == pytest.approx(1e-6, rel=0.2)
 
 
+# The search grid is fixed: bidisk_zero_search takes no grid keyword, so none
+# of the values a range check once rejected can reach it.
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"delta": 0.0},
+        {"delta": 1.0},
+        {"delta": 2.0},
+        {"delta": -1.0},
+        {"delta": float("nan")},
+        {"radii": 0},
+        {"angles": 0},
+        {"coarse_radii": 0},
+        {"coarse_angles": 0},
+        {"refine_top": 0},
+        {"newton_steps": -1},
+        {"newton_steps": 1001},
+        {"refine_top": 4097},
+        {"coarse_radii": 4096, "coarse_angles": 4096},
+        {"coarse_angles": 4097, "coarse_radii": 1},
+        {"coarse_radii": 65},
+        {"resid_tol": 0.0},
+        {"resid_tol": -1e-8},
+    ],
+)
+def test_grid_config_rejects_out_of_range(override):
+    with pytest.raises(TypeError, match=next(iter(override))):
+        bidisk_zero_search(P("2 - z1 - z2"), **override)
+
+
 def test_bidisk_nonvanishing_constant():
     rep = bidisk_zero_search(P("1"))
     assert rep.kind == "none_found_heuristic"
@@ -225,3 +255,18 @@ def test_tolconfig_defaults():
     assert CIRCLE_TOL == 1e-6
     assert RESID_TOL == 1e-8
 
+
+# The torus tolerances are fixed: torus_zeros takes no tolerance keyword.
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"circle_tol": -1.0},
+        {"circle_tol": 0.0},
+        {"resid_tol": float("inf")},
+        {"proportional_tol": float("nan")},
+        {"cluster_tol": -1e-5},
+    ],
+)
+def test_tolconfig_rejects_out_of_range(override):
+    with pytest.raises(TypeError, match=next(iter(override))):
+        torus_zeros(P("3 - z1 - z2"), **override)
