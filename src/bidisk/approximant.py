@@ -31,26 +31,29 @@ formulas (f = 1 - z1 and f = 1 - z1*z2), used as oracles in the tests.
 ``decay_diagnostic`` fits decay models to a distance-squared sequence and
 labels it Decaying, Plateau, or Inconclusive.  The labels are advisory:
 they corroborate, never replace, the zero-set classification.
+
+scipy is imported on first use, inside the function that calls it: the
+solver loads ``scipy.sparse`` and ``scipy.linalg``, the decay fits
+``scipy.optimize`` and the certificate ``scipy.special``.  Importing the
+package, and the commands that need only numpy (norms, torus zeros,
+recurrences), then start without paying for scipy's import, which takes
+several times longer than numpy's.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
+import functools
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import TYPE_CHECKING, Literal, Optional, Sequence
 
 import numpy as np
-import scipy
-from scipy import sparse
-from scipy.linalg import lapack
-from scipy.optimize import least_squares
-from scipy.special import zeta
 
 from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2
 from .spaces import SpaceSpec, weight_grid
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "BasisSpec",
@@ -153,6 +156,8 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
     whose weight is 1 in every space.  Hence G = A^H A and
     ||p*f - 1||^2 = ||A c - e_0||^2.
     """
+    from scipy import sparse
+
     if f.is_zero:
         raise DegenerateInputError("approximants to 1/f need a nonzero f")
     m, n = f.bidegree
@@ -172,20 +177,34 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
 
 
 def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
-    """G = A^H A in LAPACK lower band storage: band[i - j, j] = G[i, j]."""
+    """G = A^H A in LAPACK lower band storage: band[i - j, j] = G[i, j].
+
+    When every entry of G underflows the band is one zero row, which the
+    factorization's positive-definite test then reports.
+    """
+    from scipy import sparse
+
     low = sparse.tril(a.conj().T @ a, format="coo")
     offset = low.row - low.col
-    band = np.zeros((int(offset.max()) + 1, a.shape[1]), dtype=np.complex128, order="F")
+    band = np.zeros((int(offset.max(initial=0)) + 1, a.shape[1]), dtype=np.complex128, order="F")
     band[offset, low.col] = low.data
     return band
 
 
+@functools.cache
 def _openblas_thread_calls():
     """(get, set) of the thread count of the OpenBLAS bundled with scipy.
 
     None where scipy's LAPACK is another library or the OpenBLAS is not in
-    the wheel's bundled-library directory.
+    the wheel's bundled-library directory.  Looked up once, on the first
+    factorization.
     """
+    import ctypes
+    import glob
+    import os
+
+    import scipy
+
     pkg = os.path.dirname(scipy.__file__)
     for path in glob.glob(os.path.join(pkg + ".libs", "*openblas*")) + glob.glob(
         os.path.join(pkg, ".dylibs", "*openblas*")
@@ -202,9 +221,6 @@ def _openblas_thread_calls():
     return None
 
 
-_OPENBLAS_THREADS = _openblas_thread_calls()
-
-
 def _band_cholesky(band: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor in band storage, computed in place.
 
@@ -214,10 +230,13 @@ def _band_cholesky(band: np.ndarray) -> np.ndarray:
     than one, and the first call after an idle spell can stall for about a
     second while the second thread wakes.
     """
-    if _OPENBLAS_THREADS is None:
+    from scipy.linalg import lapack
+
+    calls = _openblas_thread_calls()
+    if calls is None:
         low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
     else:
-        get, put = _OPENBLAS_THREADS
+        get, put = calls
         threads = get()
         put(1)
         try:
@@ -231,6 +250,8 @@ def _band_cholesky(band: np.ndarray) -> np.ndarray:
 
 def _band_solve(low: np.ndarray, b: np.ndarray, trans: str) -> np.ndarray:
     """L x = b (trans "N") or L^H x = b (trans "C") for a banded factor."""
+    from scipy.linalg import lapack
+
     x, info = lapack.ztbtrs(low, b, uplo="L", trans=trans)
     if info != 0:
         raise NumericalError(f"banded triangular solve failed (info {info})")
@@ -368,6 +389,8 @@ def evaluation_bound_certificate(alpha: float) -> float:
     space with norm constant sqrt(sum_j (j+1)^(1-alpha)) = sqrt(zeta(alpha-1)),
     so |p f - 1|(w) = 1 forces ||p f - 1|| >= 1/sqrt(zeta(alpha-1)).
     """
+    from scipy.special import zeta
+
     if not alpha > 2.0:
         raise DegenerateInputError("the evaluation bound needs alpha > 2")
     return float(1.0 / np.sqrt(zeta(alpha - 1.0)))
@@ -429,6 +452,8 @@ _DECAY_MODELS = (
 
 def _fit(model, n: np.ndarray, y: np.ndarray):
     """(name, params, relative residual) of one least-squares fit, or None."""
+    from scipy.optimize import least_squares
+
     name, curve, x0, bounds = model
 
     def resid(theta):

@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, NumericalError
 from .poly import Poly1, Poly2
 
 __all__ = [
@@ -92,9 +92,22 @@ def _coeff_grid(f: Union[Poly1, Poly2]) -> np.ndarray:
 
 
 def norm_squared(f: Union[Poly1, Poly2], space: SpaceSpec) -> float:
+    """Weighted sum of squared coefficient magnitudes.
+
+    Raises ``NumericalError`` when the sum, or a weight it needs, exceeds
+    the double range: an infinite norm is no result.
+    """
     c = _coeff_grid(f)
-    w = weight_grid(space, c.shape[0] - 1, c.shape[1] - 1)
-    return float(np.sum(w * (c.real**2 + c.imag**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = weight_grid(space, c.shape[0] - 1, c.shape[1] - 1)
+        mag2 = c.real**2 + c.imag**2
+        # a zero coefficient adds nothing, even where its weight overflows
+        total = float(np.sum(np.where(mag2 == 0.0, 0.0, w * mag2)))
+    if not np.isfinite(total):
+        raise NumericalError(
+            f"squared norm in {space.kind}({space.alpha:g}) overflows the double range"
+        )
+    return total
 
 
 def inner_product(f: Union[Poly1, Poly2], g: Union[Poly1, Poly2], space: SpaceSpec) -> complex:

@@ -470,3 +470,31 @@ def test_solver_rejects_singular_system():
     band = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=np.complex128, order="F")
     with pytest.raises(NumericalError):
         _band_cholesky(band)
+
+
+def test_band_factorization_runs_on_one_openblas_thread(monkeypatch):
+    # scipy is loaded on first use, so the thread calls are found then
+    from scipy.linalg import lapack
+
+    optimal_approximant(P("1 - z1"), BasisSpec.total(1), iso(1.0))
+    calls = approximant._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("scipy's LAPACK is not its bundled OpenBLAS")
+    get, put = calls
+    zpbtrf = lapack.zpbtrf
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(get())
+        return zpbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpbtrf", counted)
+    before = get()
+    put(2)
+    try:
+        caller = get()
+        distance_scan(P("2 - z1 - z2"), iso(1.0), 6)
+        assert get() == caller
+    finally:
+        put(before)
+    assert seen == [1]

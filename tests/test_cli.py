@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -510,3 +511,24 @@ def test_exit_numerical_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "opa", "-p", "1 - z1", "--alpha", "1", "--nmax", "1")
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("command", ["opa", "scan", "classify"])
+def test_underflowing_gram_is_a_numerical_failure(capsys, command):
+    # every entry of A^H A underflows to zero: the factorization reports it
+    code, out, err = run(
+        capsys, command, "-p", "1e-300 z1 z2 + 1e-300", "--alpha", "1", "--nmax", "6"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: Gram matrix is not positive definite (leading minor 1)\n"
+
+
+def test_norm_overflow_is_a_numerical_failure(capsys):
+    # |1e308|^2 * 2 is past the double range: an error, not an inf result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "norm", "-p", "1e308 z1 + 1", "--alpha", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: squared norm in iso(1) overflows the double range\n"

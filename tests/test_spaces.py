@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bidisk.errors import DegenerateInputError
+from bidisk.errors import DegenerateInputError, NumericalError
 from bidisk.expr import parse_polynomial as P
 from bidisk.poly import Poly1, Poly2
 from bidisk.spaces import SpaceSpec, aniso, compare_norms, inner_product, iso, norm_squared, weight_grid
@@ -105,3 +105,15 @@ def test_space_spec_validation():
         iso(float("nan"))
     with pytest.raises(DegenerateInputError):
         SpaceSpec("uni", 1.0)
+
+
+def test_norm_squared_overflow_is_an_error():
+    with pytest.raises(NumericalError, match="overflows"):
+        norm_squared(P("1e200 z1 + 1"), iso(1.0))
+    with pytest.raises(NumericalError, match="overflows"):
+        norm_squared(P("1 + z1"), iso(2000.0))
+
+
+def test_norm_squared_skips_zero_coefficients_with_overflowing_weights():
+    # 9^330 overflows at z1^4 z2^4, whose coefficient is zero
+    assert norm_squared(P("1 + z1^4 + z2^4"), iso(330.0)) == pytest.approx(1 + 2 * 5.0**330, rel=1e-12)
