@@ -155,6 +155,8 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
     constant one, in row-major order, so row 0 is the constant monomial,
     whose weight is 1 in every space.  Hence G = A^H A and
     ||p*f - 1||^2 = ||A c - e_0||^2.
+
+    Raises ``NumericalError`` when an entry of A is past the double range.
     """
     from scipy import sparse
 
@@ -162,11 +164,14 @@ def _weighted_operator(f: Poly2, exps: np.ndarray, space: SpaceSpec) -> sparse.c
         raise DegenerateInputError("approximants to 1/f need a nonzero f")
     m, n = f.bidegree
     width = int(exps[:, 1].max()) + n + 1
-    sqw = np.sqrt(weight_grid(space, int(exps[:, 0].max()) + m, width - 1)).ravel()
     fk, fl = np.nonzero(f.coeffs)
     # the support comes in row-major order, so each column's rows are sorted
     rows = (exps[:, :1] + fk) * width + (exps[:, 1:] + fl)
-    data = f.coeffs[fk, fl] * sqw[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqw = np.sqrt(weight_grid(space, int(exps[:, 0].max()) + m, width - 1)).ravel()
+        data = f.coeffs[fk, fl] * sqw[rows]
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("weighted operator overflows the double range")
     # keep the rows reached and row 0 (the target), renumbered in order
     kept = np.zeros(sqw.size, dtype=bool)
     kept[rows] = True

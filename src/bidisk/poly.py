@@ -57,14 +57,28 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     as in a per-point Horner in z2 inside Horner in z1, so it does not
     depend on the shapes of z1 and z2: a product grid ``z1[:, None], z2``
     computes each row value once per z2 point and gives the same bits.
+
+    That needs care with numpy's complex multiply, which rounds twice
+    instead of fusing when the product has one element and its operands
+    differ in ndim or it is written in place.  So z2 and z1 get the ndim
+    of the arrays they multiply, and the accumulator is updated in place,
+    sparing two temporaries per step on large grids, only when it holds
+    more than one point.
     """
     rows = np.zeros((c.shape[0],) + z2.shape, dtype=np.complex128)
     cols = c.reshape(c.shape + (1,) * z2.ndim)
+    lead = z2[None]
     for l in range(c.shape[1] - 1, -1, -1):
-        rows = rows * z2 + cols[:, l]
+        rows = rows * lead + cols[:, l]
     acc = np.zeros(np.broadcast_shapes(z1.shape, z2.shape), dtype=np.complex128)
+    z1 = z1.reshape((1,) * (acc.ndim - z1.ndim) + z1.shape)
+    if acc.size <= 1:
+        for k in range(c.shape[0] - 1, -1, -1):
+            acc = acc * z1 + rows[k]
+        return acc
     for k in range(c.shape[0] - 1, -1, -1):
-        acc = acc * z1 + rows[k]
+        np.multiply(acc, z1, out=acc)
+        np.add(acc, rows[k], out=acc)
     return acc
 
 

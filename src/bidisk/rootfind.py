@@ -28,6 +28,21 @@ def _residual_bound(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _horner1(np.abs(c).astype(np.complex128), np.abs(z).astype(np.complex128)).real
 
 
+def _far_newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The Newton correction p(z) / p'(z) at estimates where p or p' overflows.
+
+    With w = 1/z and the reversed polynomial q(w) = w^n p(1/w),
+    p(z) / p'(z) = z q(w) / (n q(w) - w q'(w)), whose terms stay in range
+    for |z| > 1.  Without it one estimate that strays far out turns into
+    NaN, and through the repulsion terms so does every other estimate.
+    """
+    n = c.size - 1
+    w = 1.0 / z
+    rev = c[::-1]
+    q = _horner1(rev, w)
+    return z * q / (n * q - w * _horner1(rev[1:] * np.arange(1, n + 1), w))
+
+
 def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
     """All complex roots of r, multiplicities included.
 
@@ -59,27 +74,33 @@ def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
     radii = r0 * (1.0 + 0.08 * np.sin(2.7 * idx + 1.0))
     z = radii * np.exp(1j * theta)
 
-    for _ in range(max_iter):
+    # an estimate far out overflows p and p'; _far_newton steps it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            pv = _horner1(c, z)
+            bound = _residual_bound(c, z)
+            if np.all(np.abs(pv) <= _STOP_EPS * bound):
+                break
+            dv = _horner1(cp, z)
+            dv = np.where(dv == 0, 1e-300, dv)
+            newton = pv / dv
+            far = ~(np.isfinite(newton) & np.isfinite(dv))
+            if np.any(far):
+                newton[far] = _far_newton(c, z[far])
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            repel = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal's 1/1
+            denom = 1.0 - newton * repel
+            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+            step = newton / denom
+            z = z - step
+            if np.max(np.abs(step)) <= _STEP_EPS * np.max(1.0 + np.abs(z)):
+                break
+
         pv = _horner1(c, z)
         bound = _residual_bound(c, z)
-        if np.all(np.abs(pv) <= _STOP_EPS * bound):
-            break
-        dv = _horner1(cp, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        repel = np.sum(1.0 / diff, axis=1) - 1.0  # remove the diagonal's 1/1
-        denom = 1.0 - newton * repel
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        step = newton / denom
-        z = z - step
-        if np.max(np.abs(step)) <= _STEP_EPS * np.max(1.0 + np.abs(z)):
-            break
-
-    pv = _horner1(c, z)
-    bound = _residual_bound(c, z)
-    bad = np.abs(pv) > 1e6 * _STOP_EPS * np.maximum(bound, 1e-300)
+    # written so that a NaN estimate fails the test too
+    bad = ~(np.abs(pv) <= 1e6 * _STOP_EPS * np.maximum(bound, 1e-300))
     if np.any(bad):
         raise ConvergenceError(
             f"{int(bad.sum())} root estimate(s) failed to converge", iterates=z.copy()
@@ -121,12 +142,20 @@ def roots_on_unit_circle(
 
     Each reported root satisfies |r(rho)| <= resid_tol * ||r||_coeff after
     cluster collapsing.  Degree-zero polynomials have no roots.
+
+    Leading coefficients with |c_k| <= eps * max|c| are dropped first: on
+    the circle they move r by far less than resid_tol, and the roots they
+    add lie so far out that Aberth's iterates overflow.  The scale is
+    max|c|, because the coefficient 2-norm can itself overflow.
     """
     if r.is_zero:
         raise DegenerateInputError("root finding needs a nonzero polynomial")
-    if r.degree == 0:
+    mags = np.abs(r.coeffs)
+    kept = np.nonzero(mags > np.finfo(np.float64).eps * mags.max())[0]
+    core = Poly1(r.coeffs[: kept[-1] + 1])
+    if core.degree == 0:
         return []
-    roots = aberth_roots(r, max_iter=max_iter)
+    roots = aberth_roots(core, max_iter=max_iter)
     near = roots[np.abs(np.abs(roots) - 1.0) <= circle_tol]
     if near.size == 0:
         return []

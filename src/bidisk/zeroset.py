@@ -16,6 +16,15 @@ The bidisk search is an honest heuristic: a coarse-to-fine polar grid over
 the closed polydisk of radius 1-delta followed by damped Gauss-Newton on
 the modulus.  It reports either a certified zero (residual below tolerance,
 point inside the search region) or the smallest modulus seen.
+
+The refinement advances its starts (at most 8) together.  Each zoom
+evaluates the cloud products of every start in one call, and each
+Gauss-Newton step evaluates all 20 damped trials z - 2^-j step of every
+live start in one call and takes the first that lowers |p|: where a
+one-trial-at-a-time halving would stop, since each 2^-j is exact.  The
+moduli in that loop are libm's hypot, the bits of Python's abs: numpy's
+array abs differs from it in the last bit for about a third of values, and
+those bits decide the comparisons that pick each step.
 """
 
 from __future__ import annotations
@@ -252,41 +261,79 @@ def _local_cloud(centre: complex, rstep: float, astep: float, rmax: float) -> np
     return (rs[:, None] * np.exp(1j * as_)[None, :]).ravel()
 
 
-def _zoom(p: Poly2, z1c: complex, z2c: complex, rstep: float, astep: float, rmax: float):
-    cloud1 = _local_cloud(z1c, rstep, astep, rmax)
-    cloud2 = _local_cloud(z2c, rstep, astep, rmax)
-    best = _topk_product(p, cloud1, cloud2, 1)[0]
-    return best[1], best[2], best[0]
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as libm's hypot, the bits of Python's scalar abs."""
+    return np.hypot(z.real, z.imag)
 
 
-def _gauss_newton(p: Poly2, z1: complex, z2: complex, rmax: float, steps: int):
+def _zoom(p: Poly2, z1c: np.ndarray, z2c: np.ndarray, rstep: float, astep: float, rmax: float):
+    """One zoom of every start: the product of the polar clouds around z1c[i]
+    and z2c[i], all starts in one evaluation.
+
+    Returns the best point of each product and |p| there.
+    """
+    cloud1 = np.array([_local_cloud(complex(z), rstep, astep, rmax) for z in z1c])
+    cloud2 = np.array([_local_cloud(complex(z), rstep, astep, rmax) for z in z2c])
+    vals = np.abs(p.evaluate(cloud1[:, :, None], cloud2[:, None, :])).reshape(len(z1c), -1)
+    pick = np.argpartition(vals, 0, axis=1)[:, 0]
+    starts = np.arange(len(z1c))
+    n2 = cloud2.shape[1]
+    return cloud1[starts, pick // n2], cloud2[starts, pick % n2], vals[starts, pick]
+
+
+def _clip(z: np.ndarray, rmax: float) -> np.ndarray:
+    """z with every point outside radius rmax pulled radially onto it."""
+    r = _modulus(z)
+    out = ~(r <= rmax)
+    z[out] *= rmax / r[out]
+    return z
+
+
+# the damped step sizes 1, 1/2, ..., 2^-19, each an exact power of two
+_DAMPING = 0.5 ** np.arange(20)
+
+
+def _gauss_newton(p: Poly2, z1: np.ndarray, z2: np.ndarray, rmax: float):
+    """Damped Gauss-Newton on |p| from every start (z1[i], z2[i]) at once.
+
+    A step moves a start by the first damped Gauss-Newton step that lowers
+    |p|, and the value there is the next step's.  A start stops when p
+    vanishes, when its gradient does, or when no damping lowers |p|.
+    Returns the final points and |p| there.
+    """
     d1 = p.derivative(1)
-    d2p = p.derivative(2)
-    z = np.array([z1, z2], dtype=np.complex128)
-    for _ in range(steps):
-        val = p.evaluate(z[0], z[1])
-        if val == 0:
+    d2 = p.derivative(2)
+    z1, z2 = z1.copy(), z2.copy()
+    val = p.evaluate(z1, z2)
+    live = np.ones(val.shape, dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        live &= val != 0
+        i = np.flatnonzero(live)
+        if i.size == 0:
             break
-        g = np.array([d1.evaluate(z[0], z[1]), d2p.evaluate(z[0], z[1])], dtype=np.complex128)
-        g2 = float(np.real(np.vdot(g, g)))
-        if g2 < 1e-300:
-            break
-        step = np.conj(g) * (val / g2)
-        damp = 1.0
-        base = abs(val)
-        for _ in range(20):
-            trial = z - damp * step
-            trial = np.array(
-                [t if abs(t) <= rmax else t * (rmax / abs(t)) for t in trial],
-                dtype=np.complex128,
-            )
-            if abs(p.evaluate(trial[0], trial[1])) < base:
-                z = trial
-                break
-            damp *= 0.5
-        else:
-            break
-    return complex(z[0]), complex(z[1]), abs(p.evaluate(z[0], z[1]))
+        g = np.stack([d1.evaluate(z1[i], z2[i]), d2.evaluate(z1[i], z2[i])], axis=1)
+        # one vdot per start: a batched sum of squares rounds differently
+        g2 = np.array([np.real(np.vdot(row, row)) for row in g])
+        flat = g2 < 1e-300
+        live[i[flat]] = False
+        i, g, g2 = i[~flat], g[~flat], g2[~flat]
+        # part by part: numpy's complex-by-real division is not Python's
+        q = val[i]
+        q.real /= g2
+        q.imag /= g2
+        step = np.conj(g) * q[:, None]
+        t1 = _clip(z1[i, None] - _DAMPING * step[:, :1], rmax)
+        t2 = _clip(z2[i, None] - _DAMPING * step[:, 1:], rmax)
+        tv = p.evaluate(t1, t2)
+        lower = _modulus(tv) < _modulus(val[i])[:, None]
+        moved = lower.any(axis=1)
+        live[i[~moved]] = False
+        first = lower.argmax(axis=1)[moved]
+        i = i[moved]
+        z1[i] = t1[moved, first]
+        z2[i] = t2[moved, first]
+        val[i] = tv[moved, first]
+    return z1, z2, _modulus(val)
 
 
 def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
@@ -310,17 +357,20 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     tops = _topk_product(p, coarse, coarse, REFINE_TOP)
     starts = _distinct_candidates(tops, min_sep=2.5 * rstep, limit=8)
 
+    z1 = np.array([z1c for _, z1c, _ in starts])
+    z2 = np.array([z2c for _, _, z2c in starts])
+    z1, z2, _ = _zoom(p, z1, z2, rstep, astep, rmax)
+    z1, z2, zoomed = _zoom(p, z1, z2, fine_r, fine_a, rmax)
+    n1, n2, newton = _gauss_newton(p, z1, z2, rmax)
+
     best = tops[0][0]
     best_pt = (tops[0][1], tops[0][2])
-    for val, z1c, z2c in starts:
-        z1c, z2c, val = _zoom(p, z1c, z2c, rstep, astep, rmax)
-        z1c, z2c, val = _zoom(p, z1c, z2c, fine_r, fine_a, rmax)
-        z1n, z2n, vn = _gauss_newton(p, complex(z1c), complex(z2c), rmax, NEWTON_STEPS)
-        if vn < val:
-            z1c, z2c, val = z1n, z2n, vn
+    for i in range(len(starts)):
+        val, pt = float(zoomed[i]), (z1[i], z2[i])
+        if newton[i] < val:
+            val, pt = float(newton[i]), (n1[i], n2[i])
         if val < best:
-            best = val
-            best_pt = (z1c, z2c)
+            best, best_pt = val, pt
 
     z1b, z2b = best_pt
     if best <= tol and abs(z1b) <= rmax + 1e-12 and abs(z2b) <= rmax + 1e-12:

@@ -8,6 +8,8 @@ by row against dense solves for each basis alone, kept in this module:
 one dense Cholesky factorization and one SVD least squares.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -459,9 +461,11 @@ def test_self_check_trips_on_cholesky_route(monkeypatch):
 
 
 def test_self_check_trips_on_overflow():
-    # the weighted coefficients overflow to inf, so the residual norm is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="self-check failed"):
+    # the weighted coefficients overflow to inf: the operator refuses them,
+    # named as such and without a numpy warning, before any solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="weighted operator overflows the double range"):
             optimal_approximant(P("1e308 z1 + 1"), BasisSpec.total(2), iso(1.0))
 
 

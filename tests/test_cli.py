@@ -532,3 +532,25 @@ def test_norm_overflow_is_a_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert err == "numerical failure: squared norm in iso(1) overflows the double range\n"
+
+
+def test_operator_overflow_is_a_numerical_failure(capsys):
+    # 1e308 times the weight sqrt(2) is past the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "opa", "-p", "1e308 z1 + 1", "--alpha", "1", "--nmax", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: weighted operator overflows the double range\n"
+
+
+def test_zeros_with_negligible_leading_coefficient(capsys):
+    # the root -1e320 of 1e-320 z1 + 1 is dropped before Aberth runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "zeros", "-p", "1e-320 z1 + 1")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["torus"] == {"torus": "empty"}
+    assert report["bidisk"]["min_modulus"] == 1.0

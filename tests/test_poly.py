@@ -137,6 +137,33 @@ def test_evaluate_product_grid_matches_reference_exactly(rng):
         assert np.array_equal(grid.ravel(), _reference_grid(p.coeffs, z1, z2))
 
 
+
+def test_evaluate_search_chunk_matches_reference_exactly(rng):
+    # the interior search's coarse chunk: 64 z1 points against 1024 z2
+    # points, at bidegree 12, where the accumulator is updated in place
+    c = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+    z1, _ = random_bidisk_points(rng, 64)
+    _, z2 = random_bidisk_points(rng, 1024)
+    grid = Poly2(c).evaluate(z1[:, None], z2)
+    assert grid.shape == (64, 1024)
+    assert np.array_equal(grid.ravel(), _reference_grid(c, z1, z2))
+
+
+def test_evaluate_one_point_arrays_match_scalar_exactly(rng):
+    # one-element arrays of any shape give the scalar's bits: numpy's
+    # complex multiply skips FMA on some one-element products
+    for m in (0, 0, 1, 3):
+        n = int(rng.integers(0, 9))
+        p = Poly2(rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1)))
+        z1, z2 = random_bidisk_points(rng, 40)
+        for a, b in zip(z1, z2):
+            val = p.evaluate(complex(a), complex(b))
+            for s1 in ((), (1,), (1, 1)):
+                for s2 in ((), (1,), (1, 1)):
+                    got = p.evaluate(np.full(s1, a), np.full(s2, b))
+                    assert complex(np.asarray(got).ravel()[0]) == val, (s1, s2)
+
+
 def test_topk_product_matches_reference_exactly(rng):
     from bidisk.zeroset import _topk_product
 

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from bidisk.errors import DegenerateInputError
+from bidisk.errors import ConvergenceError, DegenerateInputError
 from bidisk.poly import Poly1
 from bidisk.rootfind import aberth_roots, roots_on_unit_circle
 
@@ -83,3 +85,43 @@ def test_near_circle_tolerance():
     # and radius 1 + 1e-4 is not
     rho = 1.0 + 1e-4
     assert roots_on_unit_circle(Poly1(np.array([-rho, 1.0]))) == []
+
+
+def test_negligible_leading_coefficients_are_dropped():
+    # |1e-320 z| is far below eps on the circle; its root at -1e320 is not
+    # sought, so the iteration cannot overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert roots_on_unit_circle(Poly1([1.0, 1e-320])) == []
+        assert roots_on_unit_circle(Poly1([-1.0, 1.0, 1e-18])) == [1.0]
+
+
+def test_nan_estimates_fail_convergence():
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError):
+            aberth_roots(Poly1([1.0, 1e-320]))
+
+
+def test_estimate_far_out_converges():
+    # the resultant of this zero-free dense polynomial of bidegree 12 with
+    # its reflection has degree 218 and coefficients up to 1e59; an Aberth
+    # estimate strays to where p and p' overflow, and once it is NaN the
+    # repulsion terms make every other estimate NaN too
+    from bidisk.operators import reflect
+    from bidisk.poly import Poly2
+    from bidisk.resultant import resultant_z2_detail
+    from bidisk.zeroset import torus_zeros
+
+    rng = np.random.default_rng(897)
+    c = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+    c[0, 0] = 0.0
+    c[0, 0] = 1.5 * np.abs(c).sum() * np.exp(2j * np.pi * rng.random())
+    p = Poly2(c)
+    res = resultant_z2_detail(p, reflect(p)).trimmed()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = aberth_roots(res)
+        assert torus_zeros(p).kind == "empty"
+    assert roots.size == res.degree
+    ref = np.roots(res.coeffs[::-1])
+    assert np.sort(np.abs(roots)) == pytest.approx(np.sort(np.abs(ref)), abs=1e-8)

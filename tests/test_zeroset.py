@@ -1,5 +1,7 @@
 """Torus zero classification and the bidisk zero search."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from bidisk import (
     rotate,
     torus_zeros,
 )
+from bidisk import zeroset
 from bidisk.errors import DegenerateInputError
+from bidisk.poly import coeff_norm
 from bidisk.zeroset import CIRCLE_TOL, DELTA, RESID_TOL
 
 P = parse_polynomial
@@ -196,6 +200,131 @@ def test_bidisk_squared_factor_stays_heuristic():
     rep = bidisk_zero_search(P("(1 - z1)^2"))
     assert rep.kind == "none_found_heuristic"
     assert rep.min_modulus == pytest.approx(1e-6, rel=0.2)
+
+
+# ------------------------------------------------- bidisk: batched vs scalar
+
+
+def _sequential_search(p):
+    """The search as it ran one start and one point at a time, kept as the
+    reference for the batched zooms and Gauss-Newton: (kind, point, modulus)."""
+    rmax = 1.0 - DELTA
+    rstep = rmax / (zeroset.COARSE_RADII - 1)
+    astep = 2.0 * np.pi / zeroset.COARSE_ANGLES
+    fine_r = rmax / (zeroset.RADII - 1)
+    fine_a = 2.0 * np.pi / zeroset.ANGLES
+    d1, d2 = p.derivative(1), p.derivative(2)
+
+    def zoom(z1c, z2c, rs, as_):
+        cloud1 = zeroset._local_cloud(z1c, rs, as_, rmax)
+        cloud2 = zeroset._local_cloud(z2c, rs, as_, rmax)
+        val, z1, z2 = zeroset._topk_product(p, cloud1, cloud2, 1)[0]
+        return z1, z2, val
+
+    def gauss_newton(z1, z2):
+        z = np.array([z1, z2], dtype=np.complex128)
+        for _ in range(zeroset.NEWTON_STEPS):
+            val = p.evaluate(z[0], z[1])
+            if val == 0:
+                break
+            g = np.array([d1.evaluate(z[0], z[1]), d2.evaluate(z[0], z[1])], dtype=np.complex128)
+            g2 = float(np.real(np.vdot(g, g)))
+            if g2 < 1e-300:
+                break
+            step = np.conj(g) * (val / g2)
+            damp = 1.0
+            for _ in range(20):
+                trial = z - damp * step
+                trial = np.array(
+                    [t if abs(t) <= rmax else t * (rmax / abs(t)) for t in trial],
+                    dtype=np.complex128,
+                )
+                if abs(p.evaluate(trial[0], trial[1])) < abs(val):
+                    z = trial
+                    break
+                damp *= 0.5
+            else:
+                break
+        return complex(z[0]), complex(z[1]), abs(p.evaluate(z[0], z[1]))
+
+    coarse = zeroset._polar_points(rmax, zeroset.COARSE_RADII, zeroset.COARSE_ANGLES)
+    tops = zeroset._topk_product(p, coarse, coarse, zeroset.REFINE_TOP)
+    best, best_pt = tops[0][0], (tops[0][1], tops[0][2])
+    for _, z1c, z2c in zeroset._distinct_candidates(tops, min_sep=2.5 * rstep, limit=8):
+        z1c, z2c, val = zoom(z1c, z2c, rstep, astep)
+        z1c, z2c, val = zoom(z1c, z2c, fine_r, fine_a)
+        z1n, z2n, vn = gauss_newton(complex(z1c), complex(z2c))
+        if vn < val:
+            z1c, z2c, val = z1n, z2n, vn
+        if val < best:
+            best, best_pt = val, (z1c, z2c)
+    tol = RESID_TOL * coeff_norm(p)
+    if best <= tol and abs(best_pt[0]) <= rmax + 1e-12 and abs(best_pt[1]) <= rmax + 1e-12:
+        return "zero_found", best_pt, best
+    return "none_found_heuristic", None, best
+
+
+def _rotated(c, rng):
+    zeta, eta = np.exp(2j * np.pi * rng.random(2))
+    c = np.asarray(c, dtype=np.complex128)
+    return Poly2(c * zeta ** np.arange(c.shape[0])[:, None] * eta ** np.arange(c.shape[1]))
+
+
+def _search_corpus():
+    """The classify benchmark's inputs (zero-free dense of bidegree 2 to 12
+    and rotated models), the models, constants, z1-only and random inputs."""
+    rng = np.random.default_rng(1207)
+    models = [
+        [[1.0], [-1.0]],
+        [[1.0, -1.0]],
+        [[1.0, 0.0], [0.0, -1.0]],
+        [[2.0, -1.0], [-1.0, 0.0]],
+        [[1.0, -1.0], [-1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 0.0]],
+    ]
+    polys = [Poly2(c) for c in models]
+    for _ in range(2):
+        for degree in (2, 4, 8, 12):
+            c = rng.standard_normal((degree + 1,) * 2) + 1j * rng.standard_normal((degree + 1,) * 2)
+            c[0, 0] = 0.0
+            c[0, 0] = 1.5 * np.abs(c).sum() * np.exp(2j * np.pi * rng.random())
+            polys.append(Poly2(c))
+        polys += [_rotated(models[i], rng) for i in (3, 3, 2, 4)]
+    polys += [Poly2([[v]]) for v in (1.0, -2.5, 3j)]
+    for _ in range(10):
+        c = rng.standard_normal(int(rng.integers(2, 7)))
+        polys.append(Poly2(c[:, None] + 1j * rng.standard_normal(c.size)[:, None]))
+    for _ in range(70):
+        m, n = rng.integers(0, 9, 2)
+        polys.append(Poly2(rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1))))
+    return polys
+
+
+def test_bidisk_search_matches_sequential_reference():
+    polys = _search_corpus()
+    assert len(polys) >= 100
+    kinds = set()
+    for p in polys:
+        rep = bidisk_zero_search(p)
+        kind, _, modulus = _sequential_search(p)
+        assert rep.kind == kind, p
+        kinds.add(kind)
+        if kind == "none_found_heuristic":
+            assert rep.min_modulus == pytest.approx(modulus, rel=1e-12, abs=0), p
+        else:
+            z1, z2 = rep.point
+            assert abs(p.evaluate(z1, z2)) <= RESID_TOL * coeff_norm(p)
+            assert max(abs(z1), abs(z2)) <= 1.0 - DELTA + 1e-12
+    assert kinds == {"zero_found", "none_found_heuristic"}
+
+
+@pytest.mark.parametrize(
+    "text", ["1 - z1", "1 - z2", "1 - z1 z2", "2 - z1 - z2", "(1 - z1)(1 - z2)", "1 + z1 + z2", "z1 - 0.5", "3"]
+)
+def test_bidisk_search_raises_no_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bidisk_zero_search(P(text))
 
 
 # The search grid is fixed: bidisk_zero_search takes no grid keyword, so none
