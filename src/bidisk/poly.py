@@ -48,15 +48,33 @@ def _trim_grid(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr[: rows[-1] + 1, : cols[-1] + 1])
 
 
+def _z1_coeffs(c: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The coefficients q_k(z2) of p = sum_k z1^k q_k(z2) at the points z2.
+
+    Horner in z2 runs over every coefficient row of c at once (of every grid,
+    for a stack c of shape ``stack + (m+1, n+1)``).  k is the first axis of
+    the result, whose shape is ``(m+1,) + stack + z2.shape``.
+    """
+    cols = np.moveaxis(c, (-1, -2), (0, 1))
+    rows = np.zeros(cols.shape[1:] + z2.shape, dtype=np.complex128)
+    cols = cols.reshape(cols.shape + (1,) * z2.ndim)
+    lead = z2.reshape((1,) * (rows.ndim - z2.ndim) + z2.shape)
+    for l in range(cols.shape[0] - 1, -1, -1):
+        rows = rows * lead + cols[l]
+    return rows
+
+
 def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     """c at the points (z1, z2), broadcast against each other.
 
-    Horner in z2 runs over every coefficient row at once, giving an array of
-    shape ``(m+1,) + z2.shape``; Horner in z1 then runs over those rows.
+    c is one coefficient grid or a stack of grids of one shape, whose values
+    come out along the leading axes.  Horner in z2 gives every row value
+    (`_z1_coeffs`); Horner in z1 then runs over those rows.
     Every value goes through the same numpy operations, in the same order,
     as in a per-point Horner in z2 inside Horner in z1, so it does not
-    depend on the shapes of z1 and z2: a product grid ``z1[:, None], z2``
-    computes each row value once per z2 point and gives the same bits.
+    depend on the shapes of z1 and z2 or on the stack: a product grid
+    ``z1[:, None], z2`` computes each row value once per z2 point and gives
+    the same bits.
 
     That needs care with numpy's complex multiply, which rounds twice
     instead of fusing when the product has one element and its operands
@@ -65,18 +83,15 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     sparing two temporaries per step on large grids, only when it holds
     more than one point.
     """
-    rows = np.zeros((c.shape[0],) + z2.shape, dtype=np.complex128)
-    cols = c.reshape(c.shape + (1,) * z2.ndim)
-    lead = z2[None]
-    for l in range(c.shape[1] - 1, -1, -1):
-        rows = rows * lead + cols[:, l]
-    acc = np.zeros(np.broadcast_shapes(z1.shape, z2.shape), dtype=np.complex128)
+    shape = np.broadcast_shapes(z1.shape, z2.shape)
+    rows = _z1_coeffs(c, z2.reshape((1,) * (len(shape) - z2.ndim) + z2.shape))
+    acc = np.zeros(c.shape[:-2] + shape, dtype=np.complex128)
     z1 = z1.reshape((1,) * (acc.ndim - z1.ndim) + z1.shape)
     if acc.size <= 1:
-        for k in range(c.shape[0] - 1, -1, -1):
+        for k in range(rows.shape[0] - 1, -1, -1):
             acc = acc * z1 + rows[k]
         return acc
-    for k in range(c.shape[0] - 1, -1, -1):
+    for k in range(rows.shape[0] - 1, -1, -1):
         np.multiply(acc, z1, out=acc)
         np.add(acc, rows[k], out=acc)
     return acc
@@ -334,8 +349,14 @@ class Poly1:
 
 
 def coeff_norm(p) -> float:
-    """Euclidean norm of the coefficient grid."""
-    return float(np.linalg.norm(p.coeffs))
+    """Euclidean norm of the coefficient grid.
+
+    Taken of c 2^-e, where 2^e is the power of two of max|c|, then scaled
+    back: exact, and its squares cannot overflow where the norm does not.
+    """
+    parts = p.coeffs.view(np.float64)
+    _, e = np.frexp(np.abs(parts).max())
+    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(np.complex128)), e))
 
 
 def proportional(p: Poly2, q: Poly2, tol: float = 1e-8) -> Optional[complex]:

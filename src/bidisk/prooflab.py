@@ -128,9 +128,7 @@ class QExperimentReport:
         """(k, l, |Q^(k,l)|) rows with signed frequencies."""
         g = self.grid_size
         freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-        for ki, k in enumerate(freqs):
-            for li, l in enumerate(freqs):
-                yield int(k), int(l), float(self.qhat_abs[ki, li])
+        yield from zip(np.repeat(freqs, g).tolist(), np.tile(freqs, g).tolist(), self.qhat_abs.ravel().tolist())
 
 
 def _torus_samples(p: Poly2, size: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError
-from .poly import Poly1, _horner1
+from .poly import Poly1, _horner1, coeff_norm
 
 __all__ = ["aberth_roots", "roots_on_unit_circle"]
 
@@ -143,16 +143,16 @@ def roots_on_unit_circle(
     Each reported root satisfies |r(rho)| <= resid_tol * ||r||_coeff after
     cluster collapsing.  Degree-zero polynomials have no roots.
 
-    Leading coefficients with |c_k| <= eps * max|c| are dropped first: on
-    the circle they move r by far less than resid_tol, and the roots they
-    add lie so far out that Aberth's iterates overflow.  The scale is
-    max|c|, because the coefficient 2-norm can itself overflow.
+    Leading and trailing coefficients with |c_k| <= eps * max|c| are
+    dropped first: on the circle they move r by far less than resid_tol,
+    and the roots they add lie so far out (leading) or so near 0 (trailing)
+    that Aberth's iterates overflow or fail to converge.
     """
     if r.is_zero:
         raise DegenerateInputError("root finding needs a nonzero polynomial")
     mags = np.abs(r.coeffs)
     kept = np.nonzero(mags > np.finfo(np.float64).eps * mags.max())[0]
-    core = Poly1(r.coeffs[: kept[-1] + 1])
+    core = Poly1(r.coeffs[kept[0] : kept[-1] + 1])
     if core.degree == 0:
         return []
     roots = aberth_roots(core, max_iter=max_iter)
@@ -160,7 +160,7 @@ def roots_on_unit_circle(
     if near.size == 0:
         return []
     merged = _collapse_clusters(near, cluster_tol)
-    scale = float(np.linalg.norm(r.coeffs))
+    scale = coeff_norm(r)
     vals = np.abs(_horner1(r.coeffs, merged))
     good = merged[vals <= resid_tol * scale]
     order = np.argsort(np.angle(good) % (2.0 * np.pi))

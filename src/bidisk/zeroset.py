@@ -17,11 +17,19 @@ the closed polydisk of radius 1-delta followed by damped Gauss-Newton on
 the modulus.  It reports either a certified zero (residual below tolerance,
 point inside the search region) or the smallest modulus seen.
 
+The coarse grid is one matrix product per 64-row chunk: the Vandermonde
+matrix of the z1 points times the q_k(z2) of p = sum_k z1^k q_k(z2).  BLAS
+sums those products in its own order, so grid values match Horner's only to
+roundoff, and near-ties can rank differently.  Candidates are ordered by
+(value, grid index), so equal values go to the lower index on every run.
+
 The refinement advances its starts (at most 8) together.  Each zoom
 evaluates the cloud products of every start in one call, and each
 Gauss-Newton step evaluates all 20 damped trials z - 2^-j step of every
 live start in one call and takes the first that lowers |p|: where a
-one-trial-at-a-time halving would stop, since each 2^-j is exact.  The
+one-trial-at-a-time halving would stop, since each 2^-j is exact.  That
+call is one stacked Horner of p and its gradient, so the accepted trial's
+gradient is the next step's, with the bits of separate evaluations.  The
 moduli in that loop are libm's hypot, the bits of Python's abs: numpy's
 array abs differs from it in the last bit for about a third of values, and
 those bits decide the comparisons that pick each step.
@@ -36,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InconclusiveError
 from .operators import reflect, slice_z1
-from .poly import Poly1, Poly2, coeff_norm, proportional
+from .poly import Poly1, Poly2, _horner, _z1_coeffs, coeff_norm, proportional
 from .resultant import INCONCLUSIVE_BAND, resultant_z2_detail
 from .rootfind import roots_on_unit_circle
 
@@ -224,20 +232,28 @@ def _polar_points(rmax: float, nr: int, na: int) -> np.ndarray:
 def _topk_product(p: Poly2, pts1: np.ndarray, pts2: np.ndarray, k: int, chunk: int = 64):
     """The k smallest |p| values over the product grid pts1 x pts2.
 
-    Returns a list of (value, z1, z2) sorted by value.  The grid is
-    evaluated ``chunk`` points of pts1 at a time, which bounds the memory,
-    and each chunk contributes its own k smallest values.
+    Returns a list of (value, z1, z2) sorted by value, ties by grid index
+    (pts1 major).  The grid is V Q, with V the Vandermonde matrix of pts1
+    and Q[k] = q_k(pts2) for p = sum_k z1^k q_k(z2): one matrix product per
+    ``chunk`` rows of V into a reused buffer, which bounds the memory.  Each
+    chunk keeps every value at or below its own k-th smallest.
     """
+    rows = _z1_coeffs(p.coeffs, pts2)
+    vander = np.vander(pts1, rows.shape[0], increasing=True)
     n2 = pts2.size
-    found: list[tuple[float, complex, complex]] = []
+    grid = np.empty((min(chunk, pts1.size), n2), dtype=np.complex128)
+    mods = np.empty(grid.shape)
+    vals, index = [], []
     for start in range(0, pts1.size, chunk):
-        block = pts1[start : start + chunk]
-        vals = np.abs(p.evaluate(block[:, None], pts2)).ravel()
-        take = min(k, vals.size)
-        sel = np.argpartition(vals, take - 1)[:take]
-        found.extend((float(vals[s]), complex(block[s // n2]), complex(pts2[s % n2])) for s in sel)
-    found.sort(key=lambda t: t[0])
-    return found[:k]
+        block = vander[start : start + chunk]
+        mod = np.abs(np.matmul(block, rows, out=grid[: len(block)]), out=mods[: len(block)]).ravel()
+        take = min(k, mod.size)
+        sel = np.flatnonzero(mod <= np.partition(mod, take - 1)[take - 1])
+        vals.append(mod[sel])
+        index.append(sel + start * n2)
+    vals, index = np.concatenate(vals), np.concatenate(index)
+    order = np.lexsort((index, vals))[:k]
+    return [(float(v), complex(pts1[b // n2]), complex(pts2[b % n2])) for v, b in zip(vals[order], index[order])]
 
 
 def _distinct_candidates(tops, min_sep: float, limit: int):
@@ -297,21 +313,23 @@ def _gauss_newton(p: Poly2, z1: np.ndarray, z2: np.ndarray, rmax: float):
     """Damped Gauss-Newton on |p| from every start (z1[i], z2[i]) at once.
 
     A step moves a start by the first damped Gauss-Newton step that lowers
-    |p|, and the value there is the next step's.  A start stops when p
-    vanishes, when its gradient does, or when no damping lowers |p|.
-    Returns the final points and |p| there.
+    |p|, and the value and gradient there are the next step's: p, d1 p and
+    d2 p come from one stacked Horner, the derivative grids zero-padded to
+    p's shape.  A start stops when p vanishes, when its gradient does, or
+    when no damping lowers |p|.  Returns the final points and |p| there.
     """
-    d1 = p.derivative(1)
-    d2 = p.derivative(2)
+    m, n = p.bidegree
+    stack = np.stack([p.coeffs, p.derivative(1).padded(m, n), p.derivative(2).padded(m, n)])
     z1, z2 = z1.copy(), z2.copy()
-    val = p.evaluate(z1, z2)
+    out = _horner(stack, z1, z2)
+    val, grad = out[0], out[1:].T.copy()
     live = np.ones(val.shape, dtype=bool)
     for _ in range(NEWTON_STEPS):
         live &= val != 0
         i = np.flatnonzero(live)
         if i.size == 0:
             break
-        g = np.stack([d1.evaluate(z1[i], z2[i]), d2.evaluate(z1[i], z2[i])], axis=1)
+        g = grad[i]
         # one vdot per start: a batched sum of squares rounds differently
         g2 = np.array([np.real(np.vdot(row, row)) for row in g])
         flat = g2 < 1e-300
@@ -324,15 +342,16 @@ def _gauss_newton(p: Poly2, z1: np.ndarray, z2: np.ndarray, rmax: float):
         step = np.conj(g) * q[:, None]
         t1 = _clip(z1[i, None] - _DAMPING * step[:, :1], rmax)
         t2 = _clip(z2[i, None] - _DAMPING * step[:, 1:], rmax)
-        tv = p.evaluate(t1, t2)
-        lower = _modulus(tv) < _modulus(val[i])[:, None]
+        tv = _horner(stack, t1, t2)
+        lower = _modulus(tv[0]) < _modulus(val[i])[:, None]
         moved = lower.any(axis=1)
         live[i[~moved]] = False
         first = lower.argmax(axis=1)[moved]
         i = i[moved]
         z1[i] = t1[moved, first]
         z2[i] = t2[moved, first]
-        val[i] = tv[moved, first]
+        val[i] = tv[0, moved, first]
+        grad[i] = tv[1:, moved, first].T
     return z1, z2, _modulus(val)
 
 

@@ -544,6 +544,31 @@ def test_operator_overflow_is_a_numerical_failure(capsys):
     assert err == "numerical failure: weighted operator overflows the double range\n"
 
 
+def test_zeros_with_negligible_trailing_coefficient(capsys):
+    # the root -1e-308 of 1e308 z1 + 1 is dropped before Aberth runs; the
+    # search certifies a zero within 1e-308 of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "zeros", "-p", "1e308 z1 + 1")
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    assert report["torus"] == {"torus": "empty"}
+    assert report["bidisk"]["bidisk"] == "zero_found"
+    assert abs(complex(*report["bidisk"]["point"][:2]) + 1e-308) <= 1e-300
+
+
+def test_zeros_with_overflowing_coefficient_norm(capsys):
+    # the coefficient norm 1.41e200 has a square past the double range; an
+    # inf norm would certify |p| = 4e197 as a zero, but |z1 z2| = 1 on Z(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "zeros", "-p", "1e200*z1^2*z2^2 + 1e200")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["bidisk"]["bidisk"] == "none_found_heuristic"
+
+
 def test_zeros_with_negligible_leading_coefficient(capsys):
     # the root -1e320 of 1e-320 z1 + 1 is dropped before Aberth runs
     with warnings.catch_warnings():

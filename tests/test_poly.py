@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,26 +166,77 @@ def test_evaluate_one_point_arrays_match_scalar_exactly(rng):
                     assert complex(np.asarray(got).ravel()[0]) == val, (s1, s2)
 
 
-def test_topk_product_matches_reference_exactly(rng):
+def test_topk_product_within_roundoff_of_reference(rng):
+    # the grid is a matrix product, not Horner: each value is within a
+    # forward-error bound of Horner's, and the k smallest agree up to the
+    # values that lie within that bound of the k-th
     from bidisk.zeroset import _topk_product
 
-    def reference_topk(c, pts1, pts2, k, chunk=64):
-        found = []
-        for start in range(0, pts1.size, chunk):
-            block = pts1[start : start + chunk]
-            z1, z2 = np.repeat(block, pts2.size), np.tile(pts2, block.size)
-            vals = np.abs(_reference_horner(c, z1, z2))
-            take = min(k, vals.size)
-            sel = np.argpartition(vals, take - 1)[:take]
-            found.extend((float(vals[s]), complex(z1[s]), complex(z2[s])) for s in sel)
-        found.sort(key=lambda t: t[0])
-        return found[:k]
-
+    eps = np.finfo(np.float64).eps
+    k = 10
     for _ in range(10):
         p = random_poly(rng, max_deg=12)
+        m, n = p.bidegree
         pts1, _ = random_bidisk_points(rng, 150)
         _, pts2 = random_bidisk_points(rng, 37)
-        assert _topk_product(p, pts1, pts2, 10) == reference_topk(p.coeffs, pts1, pts2, 10)
+        ref = np.abs(_reference_grid(p.coeffs, pts1, pts2))
+        scale = _reference_grid(np.abs(p.coeffs), np.abs(pts1), np.abs(pts2)).real
+        bound = 4 * (m + n + 2) * eps * scale
+        got = _topk_product(p, pts1, pts2, k)
+        assert [v for v, _, _ in got] == sorted(v for v, _, _ in got)
+        index = {(complex(a), complex(b)): i for i, (a, b) in enumerate(
+            zip(np.repeat(pts1, pts2.size), np.tile(pts2, pts1.size)))}
+        chosen = [index[a, b] for _, a, b in got]
+        for (val, _, _), i in zip(got, chosen):
+            assert abs(val - ref[i]) <= bound[i]
+        order = np.argsort(ref, kind="stable")
+        kth = order[k - 1]
+        for i in set(chosen) ^ set(order[:k].tolist()):
+            assert abs(ref[i] - ref[kth]) <= bound[i] + bound[kth]
+
+
+def test_topk_product_breaks_ties_by_grid_index():
+    # |1 - z1 z2| on the polar grid depends on the angle sum only, so the
+    # coarse grid is full of equal values
+    from bidisk import zeroset
+    from bidisk.poly import _z1_coeffs
+
+    p = P("1 - z1 z2")
+    coarse = zeroset._polar_points(1.0 - zeroset.DELTA, zeroset.COARSE_RADII, zeroset.COARSE_ANGLES)
+    k = zeroset.REFINE_TOP
+    tops = zeroset._topk_product(p, coarse, coarse, k)
+    assert tops == zeroset._topk_product(p, coarse, coarse, k)
+    rows = _z1_coeffs(p.coeffs, coarse)
+    grid = np.concatenate([
+        np.abs(np.vander(coarse[s : s + 64], 2, increasing=True) @ rows).ravel()
+        for s in range(0, coarse.size, 64)
+    ])
+    order = np.lexsort((np.arange(grid.size), grid))[:k]
+    n = coarse.size
+    assert tops == [(float(grid[o]), complex(coarse[o // n]), complex(coarse[o % n])) for o in order]
+    assert len({v for v, _, _ in tops}) < k
+    # on a constant every value ties: the first k grid points, z1 major
+    assert zeroset._topk_product(P("2"), coarse[64:], coarse, k) == [
+        (2.0, complex(coarse[64]), complex(z)) for z in coarse[:k]
+    ]
+
+
+def test_stacked_horner_matches_separate_evaluations(rng):
+    # p and its gradient from one stacked call, the derivative grids
+    # zero-padded to p's shape, have the bits of three evaluate calls
+    from bidisk.poly import _horner
+
+    for size in (2, 3, 20, 160):
+        p = random_poly(rng, max_deg=12)
+        m, n = p.bidegree
+        d1, d2 = p.derivative(1), p.derivative(2)
+        stack = np.stack([p.coeffs, d1.padded(m, n), d2.padded(m, n)])
+        z1, z2 = random_bidisk_points(rng, size)
+        for a, b in ((z1, z2), (z1[:, None], z2)):
+            val, g1, g2 = _horner(stack, a, b)
+            assert np.array_equal(val, p.evaluate(a, b))
+            assert np.array_equal(g1, d1.evaluate(a, b))
+            assert np.array_equal(g2, d2.evaluate(a, b))
 
 
 def test_mul_commutative_associative(rng):
@@ -220,6 +273,20 @@ def test_derivative():
     p = P("2 - z1^2 - 3*z1*z2")
     assert p.derivative(1) == P("-2*z1 - 3*z2")
     assert p.derivative(2) == P("-3*z1")
+
+
+def test_coeff_norm_scales_out_overflow(rng):
+    # the norm is taken of c 2^-e and scaled back: the bits of the plain
+    # 2-norm wherever its squares stay in range, and finite where they do not
+    for _ in range(20):
+        p = random_poly(rng, max_deg=8)
+        assert coeff_norm(p) == float(np.linalg.norm(p.coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coeff_norm(P("1e200 z1^2 z2^2 + 1e200")) == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert coeff_norm(Poly1([1e308, 1.0])) == 1e308
+        assert coeff_norm(Poly1([5e-324])) == 5e-324
+        assert coeff_norm(Poly2.zero()) == 0.0
 
 
 def test_proportional_negation():

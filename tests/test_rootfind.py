@@ -94,6 +94,9 @@ def test_negligible_leading_coefficients_are_dropped():
         warnings.simplefilter("error")
         assert roots_on_unit_circle(Poly1([1.0, 1e-320])) == []
         assert roots_on_unit_circle(Poly1([-1.0, 1.0, 1e-18])) == [1.0]
+        # and trailing ones: the root -1e-308 of 1e308 z + 1 is not sought
+        assert roots_on_unit_circle(Poly1([1.0, 1e308])) == []
+        assert roots_on_unit_circle(Poly1([1e-18, -1.0, 1.0])) == [1.0]
 
 
 def test_nan_estimates_fail_convergence():
