@@ -318,8 +318,9 @@ def _cmd_qsmooth(args) -> int:
     zeros = _parse_zero_list(args.zeros) if args.zeros else []
     report = q_smoothness(p, zeros, args.exponent, grid_size=args.grid)
     if args.qhat_csv:
-        rows = "".join(f"{k},{l},{_fmt(mag)}\n" for k, l, mag in report.qhat_rows())
-        _emit("k,l,abs_qhat\n" + rows, args.qhat_csv)
+        with _output_file(args.qhat_csv) as fh:
+            fh.write("k,l,abs_qhat\n")
+            fh.writelines(f"{k},{l},{_fmt(mag)}\n" for k, l, mag in report.qhat_rows())
     _emit_json(report.to_json_dict(), args.out)
     return 0
 

@@ -23,6 +23,7 @@ Two computations make the threshold mechanism tangible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,9 +127,9 @@ class QExperimentReport:
 
     def qhat_rows(self):
         """(k, l, |Q^(k,l)|) rows with signed frequencies."""
-        g = self.grid_size
-        freqs = np.fft.fftfreq(g, d=1.0 / g).astype(int)
-        yield from zip(np.repeat(freqs, g).tolist(), np.tile(freqs, g).tolist(), self.qhat_abs.ravel().tolist())
+        freqs = np.fft.fftfreq(self.grid_size, d=1.0 / self.grid_size).astype(int).tolist()
+        for k, mags in zip(freqs, self.qhat_abs):
+            yield from zip(repeat(k), freqs, mags.tolist())
 
 
 def _torus_samples(p: Poly2, size: int) -> np.ndarray:
