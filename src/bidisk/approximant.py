@@ -42,6 +42,7 @@ several times longer than numpy's.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal, Optional, Sequence
@@ -197,20 +198,16 @@ def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS bundled with scipy.
-
-    None where scipy's LAPACK is another library or the OpenBLAS is not in
-    the wheel's bundled-library directory.  Looked up once, on the first
-    factorization.
+def _openblas_thread_calls(package: str = "scipy"):
+    """(get, set) of the thread count of the OpenBLAS bundled with the
+    package (scipy or numpy), or None where its wheel bundles none.
     """
     import ctypes
     import glob
+    import importlib
     import os
 
-    import scipy
-
-    pkg = os.path.dirname(scipy.__file__)
+    pkg = os.path.dirname(importlib.import_module(package).__file__)
     for path in glob.glob(os.path.join(pkg + ".libs", "*openblas*")) + glob.glob(
         os.path.join(pkg, ".dylibs", "*openblas*")
     ):
@@ -226,28 +223,35 @@ def _openblas_thread_calls():
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread(package: str):
+    """Run the block on one thread of the package's bundled OpenBLAS.
+
+    The first threaded call after an idle spell can stall while the second
+    thread wakes: about a second for zpbtrf, about 15 ms per matrix
+    product of the interior search's coarse grid.
+    """
+    get, put = _openblas_thread_calls(package) or (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _band_cholesky(band: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor in band storage, computed in place.
 
     The factorization runs on one OpenBLAS thread.  Its unblocked kernel
     hands every column's rank-one update to the thread pool: at the
     bandwidths used here (kd 17-25) two threads are several times slower
-    than one, and the first call after an idle spell can stall for about a
-    second while the second thread wakes.
+    than one.
     """
     from scipy.linalg import lapack
 
-    calls = _openblas_thread_calls()
-    if calls is None:
+    with _one_blas_thread("scipy"):
         low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
-    else:
-        get, put = calls
-        threads = get()
-        put(1)
-        try:
-            low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
-        finally:
-            put(threads)
     if info != 0:
         raise NumericalError(f"Gram matrix is not positive definite (leading minor {info})")
     return low

@@ -49,11 +49,8 @@ def _trim_grid(arr: np.ndarray) -> np.ndarray:
 
 
 def _z1_coeffs(c: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The coefficients q_k(z2) of p = sum_k z1^k q_k(z2) at the points z2.
-
-    Horner in z2 runs over every coefficient row of c at once (of every grid,
-    for a stack c of shape ``stack + (m+1, n+1)``).  k is the first axis of
-    the result, whose shape is ``(m+1,) + stack + z2.shape``.
+    """q_k(z2) for p = sum_k z1^k q_k(z2), by Horner in z2 over every row of
+    c (of shape ``stack + (m+1, n+1)``), in shape ``(m+1,) + stack + z2.shape``.
     """
     cols = np.moveaxis(c, (-1, -2), (0, 1))
     rows = np.zeros(cols.shape[1:] + z2.shape, dtype=np.complex128)

@@ -42,6 +42,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from .approximant import _one_blas_thread
 from .errors import DegenerateInputError, InconclusiveError
 from .operators import reflect, slice_z1
 from .poly import Poly1, Poly2, _horner, _z1_coeffs, coeff_norm, proportional
@@ -230,13 +231,11 @@ def _polar_points(rmax: float, nr: int, na: int) -> np.ndarray:
 
 
 def _topk_product(p: Poly2, pts1: np.ndarray, pts2: np.ndarray, k: int, chunk: int = 64):
-    """The k smallest |p| values over the product grid pts1 x pts2.
+    """The k smallest |p| values over the product grid pts1 x pts2, as a
+    list of (value, z1, z2) sorted by value, ties by grid index (pts1 major).
 
-    Returns a list of (value, z1, z2) sorted by value, ties by grid index
-    (pts1 major).  The grid is V Q, with V the Vandermonde matrix of pts1
-    and Q[k] = q_k(pts2) for p = sum_k z1^k q_k(z2): one matrix product per
-    ``chunk`` rows of V into a reused buffer, which bounds the memory.  Each
-    chunk keeps every value at or below its own k-th smallest.
+    One matrix product per ``chunk`` points of pts1 into a reused buffer,
+    and each chunk keeps every value at or below its own k-th smallest.
     """
     rows = _z1_coeffs(p.coeffs, pts2)
     vander = np.vander(pts1, rows.shape[0], increasing=True)
@@ -244,13 +243,14 @@ def _topk_product(p: Poly2, pts1: np.ndarray, pts2: np.ndarray, k: int, chunk: i
     grid = np.empty((min(chunk, pts1.size), n2), dtype=np.complex128)
     mods = np.empty(grid.shape)
     vals, index = [], []
-    for start in range(0, pts1.size, chunk):
-        block = vander[start : start + chunk]
-        mod = np.abs(np.matmul(block, rows, out=grid[: len(block)]), out=mods[: len(block)]).ravel()
-        take = min(k, mod.size)
-        sel = np.flatnonzero(mod <= np.partition(mod, take - 1)[take - 1])
-        vals.append(mod[sel])
-        index.append(sel + start * n2)
+    with _one_blas_thread("numpy"):
+        for start in range(0, pts1.size, chunk):
+            block = vander[start : start + chunk]
+            mod = np.abs(np.matmul(block, rows, out=grid[: len(block)]), out=mods[: len(block)]).ravel()
+            take = min(k, mod.size)
+            sel = np.flatnonzero(mod <= np.partition(mod, take - 1)[take - 1])
+            vals.append(mod[sel])
+            index.append(sel + start * n2)
     vals, index = np.concatenate(vals), np.concatenate(index)
     order = np.lexsort((index, vals))[:k]
     return [(float(v), complex(pts1[b // n2]), complex(pts2[b % n2])) for v, b in zip(vals[order], index[order])]

@@ -357,6 +357,31 @@ def test_grid_config_rejects_out_of_range(override):
         bidisk_zero_search(P("2 - z1 - z2"), **override)
 
 
+def test_coarse_grid_runs_on_one_openblas_thread(monkeypatch):
+    # a threaded product stalls while the second thread wakes after idling
+    from bidisk.approximant import _openblas_thread_calls
+
+    calls = _openblas_thread_calls("numpy")
+    if calls is None:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+    get, put = calls
+    matmul, seen = np.matmul, []
+
+    def counted(*args, **kwargs):
+        seen.append(get())
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    before = get()
+    put(2)
+    try:
+        bidisk_zero_search(P("2 - z1 - z2 + 0.1 z1^4 z2^4"))
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+
+
 def test_bidisk_nonvanishing_constant():
     rep = bidisk_zero_search(P("1"))
     assert rep.kind == "none_found_heuristic"
