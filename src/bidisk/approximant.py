@@ -198,16 +198,17 @@ def _gram_band(a: sparse.csc_matrix) -> np.ndarray:
 
 
 @functools.cache
-def _openblas_thread_calls(package: str = "scipy"):
-    """(get, set) of the thread count of the OpenBLAS bundled with the
-    package (scipy or numpy), or None where its wheel bundles none.
+def _openblas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS bundled with scipy,
+    or None where its wheel bundles none.
     """
     import ctypes
     import glob
-    import importlib
     import os
 
-    pkg = os.path.dirname(importlib.import_module(package).__file__)
+    import scipy
+
+    pkg = os.path.dirname(scipy.__file__)
     for path in glob.glob(os.path.join(pkg + ".libs", "*openblas*")) + glob.glob(
         os.path.join(pkg, ".dylibs", "*openblas*")
     ):
@@ -224,14 +225,13 @@ def _openblas_thread_calls(package: str = "scipy"):
 
 
 @contextlib.contextmanager
-def _one_blas_thread(package: str):
-    """Run the block on one thread of the package's bundled OpenBLAS.
+def _one_blas_thread():
+    """Run the block on one thread of scipy's bundled OpenBLAS.
 
-    The first threaded call after an idle spell can stall while the second
-    thread wakes: about a second for zpbtrf, about 15 ms per matrix
-    product of the interior search's coarse grid.
+    The first threaded call after an idle spell can stall for about a
+    second while the second thread wakes.
     """
-    get, put = _openblas_thread_calls(package) or (lambda: None, lambda threads: None)
+    get, put = _openblas_thread_calls() or (lambda: None, lambda threads: None)
     threads = get()
     put(1)
     try:
@@ -250,7 +250,7 @@ def _band_cholesky(band: np.ndarray) -> np.ndarray:
     """
     from scipy.linalg import lapack
 
-    with _one_blas_thread("scipy"):
+    with _one_blas_thread():
         low, info = lapack.zpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise NumericalError(f"Gram matrix is not positive definite (leading minor {info})")

@@ -48,25 +48,12 @@ def _trim_grid(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr[: rows[-1] + 1, : cols[-1] + 1])
 
 
-def _z1_coeffs(c: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """q_k(z2) for p = sum_k z1^k q_k(z2), by Horner in z2 over every row of
-    c (of shape ``stack + (m+1, n+1)``), in shape ``(m+1,) + stack + z2.shape``.
-    """
-    cols = np.moveaxis(c, (-1, -2), (0, 1))
-    rows = np.zeros(cols.shape[1:] + z2.shape, dtype=np.complex128)
-    cols = cols.reshape(cols.shape + (1,) * z2.ndim)
-    lead = z2.reshape((1,) * (rows.ndim - z2.ndim) + z2.shape)
-    for l in range(cols.shape[0] - 1, -1, -1):
-        rows = rows * lead + cols[l]
-    return rows
-
-
 def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     """c at the points (z1, z2), broadcast against each other.
 
     c is one coefficient grid or a stack of grids of one shape, whose values
     come out along the leading axes.  Horner in z2 gives every row value
-    (`_z1_coeffs`); Horner in z1 then runs over those rows.
+    q_k(z2) of p = sum_k z1^k q_k(z2); Horner in z1 then runs over them.
     Every value goes through the same numpy operations, in the same order,
     as in a per-point Horner in z2 inside Horner in z1, so it does not
     depend on the shapes of z1 and z2 or on the stack: a product grid
@@ -81,7 +68,13 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
     more than one point.
     """
     shape = np.broadcast_shapes(z1.shape, z2.shape)
-    rows = _z1_coeffs(c, z2.reshape((1,) * (len(shape) - z2.ndim) + z2.shape))
+    z2 = z2.reshape((1,) * (len(shape) - z2.ndim) + z2.shape)
+    cols = np.moveaxis(c, (-1, -2), (0, 1))
+    rows = np.zeros(cols.shape[1:] + z2.shape, dtype=np.complex128)
+    cols = cols.reshape(cols.shape + (1,) * z2.ndim)
+    lead = z2.reshape((1,) * (rows.ndim - z2.ndim) + z2.shape)
+    for l in range(cols.shape[0] - 1, -1, -1):
+        rows = rows * lead + cols[l]
     acc = np.zeros(c.shape[:-2] + shape, dtype=np.complex128)
     z1 = z1.reshape((1,) * (acc.ndim - z1.ndim) + z1.shape)
     if acc.size <= 1:
@@ -92,6 +85,15 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
         np.multiply(acc, z1, out=acc)
         np.add(acc, rows[k], out=acc)
     return acc
+
+
+def _torus_samples(c: np.ndarray, size: int) -> np.ndarray:
+    """The coefficient grid c at (w^u, w^v) for w = exp(2 pi i / size) and
+    0 <= u, v < size: the unscaled inverse FFT of c zero-padded to size x
+    size, one axis at a time, so that the first pass runs over c's columns
+    only."""
+    rows = np.fft.ifft(c, n=size, axis=0, norm="forward")
+    return np.fft.ifft(rows, n=size, axis=1, norm="forward")
 
 
 def _horner1(c: np.ndarray, z: np.ndarray):

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError
-from .poly import Poly2, coeff_norm, poly2_to_json_dict
+from .poly import Poly2, _torus_samples, coeff_norm, poly2_to_json_dict
 from .spaces import iso, norm_squared
 from .zeroset import RESID_TOL
 
@@ -132,14 +132,6 @@ class QExperimentReport:
             yield from zip(repeat(k), freqs, mags.tolist())
 
 
-def _torus_samples(p: Poly2, size: int) -> np.ndarray:
-    """Values of p at (w^u, w^v) for w = exp(2 pi i / size)."""
-    m, n = p.bidegree
-    padded = np.zeros((size, size), dtype=np.complex128)
-    padded[: m + 1, : n + 1] = p.coeffs
-    return np.fft.ifft2(padded) * size * size
-
-
 def q_smoothness(
     p: Poly2,
     zeros: Sequence[tuple[complex, complex]],
@@ -164,8 +156,8 @@ def q_smoothness(
     if grid_size < needed:
         raise DegenerateInputError(f"grid_size {grid_size} below the resolution floor {needed}")
 
-    pvals = _torus_samples(p, grid_size)
-    gvals = _torus_samples(g, grid_size)
+    pvals = _torus_samples(p.coeffs, grid_size)
+    gvals = _torus_samples(g.coeffs, grid_size)
     small = np.abs(pvals) <= RESID_TOL * coeff_norm(p)
     if small.any():
         w = np.exp(2j * np.pi / grid_size)

@@ -9,9 +9,10 @@ keeps the cost at D+1 small dense determinants.
 
 The resultant vanishes identically exactly when the inputs share a factor
 involving z2; numerically this is declared when every interpolated
-coefficient is below ``zero_rel_eps`` times the product of the input
+coefficient is below ``ZERO_REL_EPS`` times the product of the input
 coefficient norms.  Verdicts within a factor of 10 of that threshold are
-refused (InconclusiveError) rather than guessed.
+refused (InconclusiveError) rather than guessed, and so are inputs whose
+Sylvester matrices would take more than STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = ["resultant_z2", "resultant_z2_detail", "ResultantDetail"]
 
 ZERO_REL_EPS = 1e-8
 INCONCLUSIVE_BAND = 10.0
+STACK_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,19 @@ def _sylvester_stack(pvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
     return s
 
 
-def resultant_z2_detail(p: Poly2, q: Poly2, zero_rel_eps: float = ZERO_REL_EPS) -> ResultantDetail:
+def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
     m1, n1 = p.bidegree
     m2, n2 = q.bidegree
     if n1 == 0 or n2 == 0:
         raise DegenerateInputError("resultant in z2 needs both inputs to involve z2")
     bound = m1 * n2 + m2 * n1
     nodes = bound + 1
+    need = nodes * (n1 + n2) ** 2 * np.dtype(np.complex128).itemsize
+    if need > STACK_BYTES:
+        raise InconclusiveError(
+            f"resultant refused: its {nodes} Sylvester matrices of size {n1 + n2} "
+            f"take {need / 2**30:.3g} GiB, above the {STACK_BYTES / 2**30:g} GiB budget"
+        )
     omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     # z2-slice coefficients at each node: node x (n+1) arrays
     v1 = np.power(omega[:, None], np.arange(m1 + 1)[None, :])
@@ -90,7 +98,7 @@ def resultant_z2_detail(p: Poly2, q: Poly2, zero_rel_eps: float = ZERO_REL_EPS) 
     qvals = v2 @ q.coeffs
     dets = np.linalg.det(_sylvester_stack(pvals, qvals))
     coeffs = np.fft.fft(dets) / nodes
-    threshold = zero_rel_eps * coeff_norm(p) * coeff_norm(q)
+    threshold = ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q)
     return ResultantDetail(
         coeffs=coeffs,
         max_coeff=float(np.abs(coeffs).max()),
@@ -98,14 +106,15 @@ def resultant_z2_detail(p: Poly2, q: Poly2, zero_rel_eps: float = ZERO_REL_EPS) 
     )
 
 
-def resultant_z2(p: Poly2, q: Poly2, zero_rel_eps: float = ZERO_REL_EPS) -> Poly1:
+def resultant_z2(p: Poly2, q: Poly2) -> Poly1:
     """Res_{z2}(p, q) as a polynomial in z1.
 
     Returns the zero polynomial when the inputs share a z2-involving factor.
     Raises InconclusiveError when the coefficients land within a decade of
-    the zero threshold, where neither verdict would be trustworthy.
+    the zero threshold, where neither verdict would be trustworthy, or when
+    the Sylvester matrices would take more than STACK_BYTES.
     """
-    detail = resultant_z2_detail(p, q, zero_rel_eps)
+    detail = resultant_z2_detail(p, q)
     if detail.is_zero:
         return Poly1.zero()
     if detail.near_threshold:

@@ -7,7 +7,8 @@ e.g. (z-1)^2) from collapsing onto each other.  Estimates belonging to one
 multiple root end up in a tight cluster around it; the cluster is collapsed
 to its mean before reporting.
 
-Only roots within ``circle_tol`` of the unit circle are returned.
+Only roots within ``CIRCLE_TOL`` of the unit circle are returned.  The
+tolerances are fixed: a certified torus verdict rests on them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,14 @@ from .errors import ConvergenceError, DegenerateInputError
 from .poly import Poly1, _horner1, coeff_norm
 
 __all__ = ["aberth_roots", "roots_on_unit_circle"]
+
+# a circle root lies within CIRCLE_TOL of the circle, has a residual below
+# CIRCLE_RESID_TOL times the coefficient norm, and merges with the roots
+# within CLUSTER_TOL of it; Aberth runs at most MAX_ITER sweeps
+CIRCLE_TOL = 1e-6
+CIRCLE_RESID_TOL = 1e-10
+CLUSTER_TOL = 1e-5
+MAX_ITER = 200
 
 _STOP_EPS = 1e-13
 _STEP_EPS = 1e-14
@@ -43,11 +52,11 @@ def _far_newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z * q / (n * q - w * _horner1(rev[1:] * np.arange(1, n + 1), w))
 
 
-def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
+def aberth_roots(r: Poly1) -> np.ndarray:
     """All complex roots of r, multiplicities included.
 
     Raises ConvergenceError (carrying the last iterates) when some estimate
-    still has a residual above the backward-error scale after max_iter
+    still has a residual above the backward-error scale after MAX_ITER
     sweeps.
     """
     if r.is_zero:
@@ -76,7 +85,7 @@ def aberth_roots(r: Poly1, max_iter: int = 200) -> np.ndarray:
 
     # an estimate far out overflows p and p'; _far_newton steps it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             pv = _horner1(c, z)
             bound = _residual_bound(c, z)
             if np.all(np.abs(pv) <= _STOP_EPS * bound):
@@ -131,17 +140,17 @@ def _collapse_clusters(points: np.ndarray, radius: float) -> np.ndarray:
     return np.asarray(out, dtype=np.complex128)
 
 
-def roots_on_unit_circle(
-    r: Poly1,
-    circle_tol: float = 1e-6,
-    resid_tol: float = 1e-10,
-    cluster_tol: float = 1e-5,
-    max_iter: int = 200,
-) -> list[complex]:
-    """Distinct roots rho of r with | |rho| - 1 | <= circle_tol.
+def _significant(c: np.ndarray) -> np.ndarray:
+    """Indices of the coefficients c_k with |c_k| > eps * max|c|."""
+    mags = np.abs(c)
+    return np.nonzero(mags > np.finfo(np.float64).eps * mags.max())[0]
 
-    Each reported root satisfies |r(rho)| <= resid_tol * ||r||_coeff after
-    cluster collapsing.  Degree-zero polynomials have no roots.
+
+def roots_on_unit_circle(r: Poly1) -> list[complex]:
+    """Distinct roots rho of r with | |rho| - 1 | <= CIRCLE_TOL.
+
+    Each reported root satisfies |r(rho)| <= CIRCLE_RESID_TOL * ||r||_coeff
+    after cluster collapsing.  Degree-zero polynomials have no roots.
 
     Leading and trailing coefficients with |c_k| <= eps * max|c| are
     dropped first: on the circle they move r by far less than resid_tol,
@@ -150,18 +159,17 @@ def roots_on_unit_circle(
     """
     if r.is_zero:
         raise DegenerateInputError("root finding needs a nonzero polynomial")
-    mags = np.abs(r.coeffs)
-    kept = np.nonzero(mags > np.finfo(np.float64).eps * mags.max())[0]
+    kept = _significant(r.coeffs)
     core = Poly1(r.coeffs[kept[0] : kept[-1] + 1])
     if core.degree == 0:
         return []
-    roots = aberth_roots(core, max_iter=max_iter)
-    near = roots[np.abs(np.abs(roots) - 1.0) <= circle_tol]
+    roots = aberth_roots(core)
+    near = roots[np.abs(np.abs(roots) - 1.0) <= CIRCLE_TOL]
     if near.size == 0:
         return []
-    merged = _collapse_clusters(near, cluster_tol)
+    merged = _collapse_clusters(near, CLUSTER_TOL)
     scale = coeff_norm(r)
     vals = np.abs(_horner1(r.coeffs, merged))
-    good = merged[vals <= resid_tol * scale]
+    good = merged[vals <= CIRCLE_RESID_TOL * scale]
     order = np.argsort(np.angle(good) % (2.0 * np.pi))
     return [complex(v) for v in good[order]]

@@ -12,27 +12,27 @@ modulus as p on the torus):
    coordinate is a unit-circle root of Res_z2(p, p~); slicing p there and
    taking unit-circle roots in z2 yields finitely many verified candidates.
 
-The bidisk search is an honest heuristic: a coarse-to-fine polar grid over
-the closed polydisk of radius 1-delta followed by damped Gauss-Newton on
-the modulus.  It reports either a certified zero (residual below tolerance,
-point inside the search region) or the smallest modulus seen.
+The bidisk search covers the closed polydisk of radius r = 1 - delta and
+rests on two classical facts.
 
-The coarse grid is one matrix product per 64-row chunk: the Vandermonde
-matrix of the z1 points times the q_k(z2) of p = sum_k z1^k q_k(z2).  BLAS
-sums those products in its own order, so grid values match Horner's only to
-roundoff, and near-ties can rank differently.  Candidates are ordered by
-(value, grid index), so equal values go to the lower index on every run.
+* A zero in the closed r-polydisk puts one on the face rT x D_r or on the
+  slice D_r x {0} (DeCarlo, Strintzis, Murray and Saeks 1977): when no
+  fibre p(zeta, .) with |zeta| = r vanishes on the closed disk D_r, the
+  number of zeros of p(., z2) inside D_r is the same for every z2 in D_r,
+  and it is that of the slice p(., 0).  So the search flags, by the
+  Schur-Cohn recursion, the fibres over N ring points that have a zero in
+  D_r, and takes the roots of a few flagged fibres and of the slice.  A
+  computed root inside the region whose |p| passes RESID_TOL is the only
+  witness of "zero_found".
+* A zero-free p takes its smallest modulus on the polydisk on the torus
+  rT^2 (the minimum modulus principle, once per variable).  So
+  "min_modulus" is the least |p| of a Gauss-Newton descent in the two
+  angles, started from the smallest values of one FFT of p on the N x N
+  grid of rT^2, and of p at the computed roots inside the region.
 
-The refinement advances its starts (at most 8) together.  Each zoom
-evaluates the cloud products of every start in one call, and each
-Gauss-Newton step evaluates all 20 damped trials z - 2^-j step of every
-live start in one call and takes the first that lowers |p|: where a
-one-trial-at-a-time halving would stop, since each 2^-j is exact.  That
-call is one stacked Horner of p and its gradient, so the accepted trial's
-gradient is the next step's, with the bits of separate evaluations.  The
-moduli in that loop are libm's hypot, the bits of Python's abs: numpy's
-array abs differs from it in the last bit for about a third of values, and
-those bits decide the comparisons that pick each step.
+N is ANGLES or, for higher degree, the power of two at least four times
+the larger partial degree.  The search works on p / ||p||, so its
+tolerance is RESID_TOL itself, and reports moduli in p's own scale.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .approximant import _one_blas_thread
-from .errors import DegenerateInputError, InconclusiveError
+from .errors import ConvergenceError, DegenerateInputError, InconclusiveError
 from .operators import reflect, slice_z1
-from .poly import Poly1, Poly2, _horner, _z1_coeffs, coeff_norm, proportional
+from .poly import Poly1, Poly2, _horner, _torus_samples, coeff_norm, proportional
 from .resultant import INCONCLUSIVE_BAND, resultant_z2_detail
-from .rootfind import roots_on_unit_circle
+from .rootfind import _significant, aberth_roots, roots_on_unit_circle
 
 __all__ = [
     "TorusZeroClass",
@@ -59,20 +58,14 @@ __all__ = [
 # Fixed tolerances: a certified verdict ("zero_found", a torus class) rests
 # on them, so they are not open to callers.  RESID_TOL, relative to the
 # coefficient norm, certifies a zero both on the torus and in the bidisk.
-CIRCLE_TOL = 1e-6
-CLUSTER_TOL = 1e-5
+# The circle root tolerances are rootfind's.
 PROPORTIONAL_TOL = 1e-8
 RESID_TOL = 1e-8
 
-# The bidisk search: polar grids over the polydisk of radius 1 - DELTA, the
-# coarse one searched as its own product, then zoom and Gauss-Newton from
-# the best REFINE_TOP points.
+# The bidisk search: the polydisk of radius 1 - DELTA, at least ANGLES
+# points per circle, NEWTON_STEPS Gauss-Newton steps on the torus.
 DELTA = 1e-3
-RADII = 64
 ANGLES = 256
-COARSE_RADII = 16
-COARSE_ANGLES = 64
-REFINE_TOP = 48
 NEWTON_STEPS = 60
 
 
@@ -133,7 +126,7 @@ def _strip_monomial(p: Poly2) -> Poly2:
 
 
 def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
-    roots = roots_on_unit_circle(coeffs, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL)
+    roots = roots_on_unit_circle(coeffs)
     if not roots:
         return TorusZeroClass("empty")
     return TorusZeroClass(
@@ -147,7 +140,8 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     """Classify the zero set of p on the unit torus.
 
     Raises InconclusiveError when the resultant's zero test lands too close
-    to its threshold to commit, and DegenerateInputError for constant p.
+    to its threshold to commit or the resultant is too large to compute,
+    and DegenerateInputError for the zero polynomial.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
@@ -177,13 +171,13 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     res = detail.trimmed()
     scale = coeff_norm(core)
     points: list[tuple[complex, complex]] = []
-    for rho in roots_on_unit_circle(res, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL):
+    for rho in roots_on_unit_circle(res):
         sl = slice_z1(core, rho)
         if np.abs(sl.coeffs).max() <= RESID_TOL * scale:
             return TorusZeroClass(
                 "infinite", witness="line_factor", witness_data=("z1", rho)
             )
-        for sigma in roots_on_unit_circle(sl, circle_tol=CIRCLE_TOL, cluster_tol=CLUSTER_TOL):
+        for sigma in roots_on_unit_circle(sl):
             if abs(core.evaluate(rho, sigma)) <= RESID_TOL * scale:
                 points.append((rho, sigma))
     if not points:
@@ -202,6 +196,7 @@ class BidiskZeroReport:
     kind: Literal["zero_found", "none_found_heuristic"]
     point: Optional[tuple[complex, complex]]
     min_modulus: float
+    angles: int = ANGLES
 
     def to_json_dict(self) -> dict:
         if self.kind == "zero_found":
@@ -214,184 +209,134 @@ class BidiskZeroReport:
         return {
             "bidisk": "none_found_heuristic",
             "min_modulus": self.min_modulus,
-            "grid": {
-                "delta": DELTA,
-                "radii": RADII,
-                "angles": ANGLES,
-                "coarse_radii": COARSE_RADII,
-                "coarse_angles": COARSE_ANGLES,
-            },
+            "grid": {"delta": DELTA, "angles": self.angles},
         }
 
 
-def _polar_points(rmax: float, nr: int, na: int) -> np.ndarray:
-    radii = np.linspace(0.0, rmax, nr)
-    angles = np.linspace(0.0, 2.0 * np.pi, na, endpoint=False)
-    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+def _disk_flags(f: np.ndarray) -> np.ndarray:
+    """Whether each column of f, ascending coefficients down the rows, has a
+    zero in the closed unit disk, by the Schur-Cohn recursion on every
+    column at once.
 
-
-def _topk_product(p: Poly2, pts1: np.ndarray, pts2: np.ndarray, k: int, chunk: int = 64):
-    """The k smallest |p| values over the product grid pts1 x pts2, as a
-    list of (value, z1, z2) sorted by value, ties by grid index (pts1 major).
-
-    One matrix product per ``chunk`` points of pts1 into a reused buffer,
-    and each chunk keeps every value at or below its own k-th smallest.
+    With a and b the end coefficients of f of formal degree d, |a| <= |b|
+    puts a zero in the closed disk: f(0) = 0, or the roots' product has
+    modulus at most 1.  Otherwise conj(a) f - b f*, with f*(z) =
+    z^d conj(f(1/conj z)), has formal degree d - 1 and the same zeros in the
+    closed disk (Rouche: |f*| = |f| on the circle).  Each step applies it
+    to f / max|f|, which moves no zero and keeps every coefficient below 2.
     """
-    rows = _z1_coeffs(p.coeffs, pts2)
-    vander = np.vander(pts1, rows.shape[0], increasing=True)
-    n2 = pts2.size
-    grid = np.empty((min(chunk, pts1.size), n2), dtype=np.complex128)
-    mods = np.empty(grid.shape)
-    vals, index = [], []
-    with _one_blas_thread("numpy"):
-        for start in range(0, pts1.size, chunk):
-            block = vander[start : start + chunk]
-            mod = np.abs(np.matmul(block, rows, out=grid[: len(block)]), out=mods[: len(block)]).ravel()
-            take = min(k, mod.size)
-            sel = np.flatnonzero(mod <= np.partition(mod, take - 1)[take - 1])
-            vals.append(mod[sel])
-            index.append(sel + start * n2)
-    vals, index = np.concatenate(vals), np.concatenate(index)
-    order = np.lexsort((index, vals))[:k]
-    return [(float(v), complex(pts1[b // n2]), complex(pts2[b % n2])) for v, b in zip(vals[order], index[order])]
+    hit = np.zeros(f.shape[1], dtype=bool)
+    for _ in range(f.shape[0] - 1):
+        a, b = f[0], f[-1]
+        hit |= np.abs(a) <= np.abs(b)
+        s = np.abs(f).max(axis=0)
+        s[s == 0] = 1.0
+        g = np.conj(f[:0:-1])
+        g *= b / s / s
+        f = np.multiply(f[:-1], np.conj(a) / s / s)
+        f -= g
+    return hit
 
 
-def _distinct_candidates(tops, min_sep: float, limit: int):
-    """Thin a value-sorted candidate list to representatives of separate basins."""
-    kept = []
-    for val, z1, z2 in tops:
-        if any(abs(z1 - a) < min_sep and abs(z2 - b) < min_sep for _, a, b in kept):
-            continue
-        kept.append((val, z1, z2))
-        if len(kept) >= limit:
-            break
-    return kept
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of the ascending coefficients c, or none where Aberth fails.
 
-
-def _local_cloud(centre: complex, rstep: float, astep: float, rmax: float) -> np.ndarray:
-    """Small polar neighbourhood of a point, clipped to radius rmax."""
-    r0 = abs(centre)
-    a0 = np.angle(centre)
-    rs = np.clip(np.linspace(r0 - rstep, r0 + rstep, 7), 0.0, rmax)
-    as_ = np.linspace(a0 - astep, a0 + astep, 9)
-    return (rs[:, None] * np.exp(1j * as_)[None, :]).ravel()
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| as libm's hypot, the bits of Python's scalar abs."""
-    return np.hypot(z.real, z.imag)
-
-
-def _zoom(p: Poly2, z1c: np.ndarray, z2c: np.ndarray, rstep: float, astep: float, rmax: float):
-    """One zoom of every start: the product of the polar clouds around z1c[i]
-    and z2c[i], all starts in one evaluation.
-
-    Returns the best point of each product and |p| there.
+    Negligible top coefficients are dropped as for circle roots: their
+    roots lie far outside the disk.  The small bottom ones stay, since
+    their roots lie near 0.  A vanishing c has 0 for its root.
     """
-    cloud1 = np.array([_local_cloud(complex(z), rstep, astep, rmax) for z in z1c])
-    cloud2 = np.array([_local_cloud(complex(z), rstep, astep, rmax) for z in z2c])
-    vals = np.abs(p.evaluate(cloud1[:, :, None], cloud2[:, None, :])).reshape(len(z1c), -1)
-    pick = np.argpartition(vals, 0, axis=1)[:, 0]
-    starts = np.arange(len(z1c))
-    n2 = cloud2.shape[1]
-    return cloud1[starts, pick // n2], cloud2[starts, pick % n2], vals[starts, pick]
+    if not c.any():
+        return np.zeros(1, dtype=np.complex128)
+    try:
+        return aberth_roots(Poly1(c[: _significant(c)[-1] + 1]))
+    except ConvergenceError:
+        return np.zeros(0, dtype=np.complex128)
 
 
-def _clip(z: np.ndarray, rmax: float) -> np.ndarray:
-    """z with every point outside radius rmax pulled radially onto it."""
-    r = _modulus(z)
-    out = ~(r <= rmax)
-    z[out] *= rmax / r[out]
-    return z
-
-
-# the damped step sizes 1, 1/2, ..., 2^-19, each an exact power of two
+# the damped step sizes 1, 1/2, ..., 2^-19
 _DAMPING = 0.5 ** np.arange(20)
 
 
-def _gauss_newton(p: Poly2, z1: np.ndarray, z2: np.ndarray, rmax: float):
-    """Damped Gauss-Newton on |p| from every start (z1[i], z2[i]) at once.
+def _torus_descent(c: np.ndarray, rmax: float, theta: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton on |p| over the torus of radius rmax, in the
+    angles theta (starts x 2) of every start at once.  Returns |p| at the
+    final points.
 
-    A step moves a start by the first damped Gauss-Newton step that lowers
-    |p|, and the value and gradient there are the next step's: p, d1 p and
-    d2 p come from one stacked Horner, the derivative grids zero-padded to
-    p's shape.  A start stops when p vanishes, when its gradient does, or
-    when no damping lowers |p|.  Returns the final points and |p| there.
+    A step solves the 2 x 2 real least-squares problem of p's linearisation
+    in the two angles and moves a start by the first damped step that
+    lowers |p|; p and its angle gradient come from one stacked Horner.  A
+    start stops when its gradient vanishes (its square underflows) or no
+    damping lowers |p|.
     """
-    m, n = p.bidegree
-    stack = np.stack([p.coeffs, p.derivative(1).padded(m, n), p.derivative(2).padded(m, n)])
-    z1, z2 = z1.copy(), z2.copy()
-    out = _horner(stack, z1, z2)
-    val, grad = out[0], out[1:].T.copy()
-    live = np.ones(val.shape, dtype=bool)
+    m, n = c.shape[0] - 1, c.shape[1] - 1
+    p = Poly2(c)
+    stack = np.stack([c, p.derivative(1).padded(m, n), p.derivative(2).padded(m, n)])
+
+    def at(angles):
+        z = rmax * np.exp(1j * angles)
+        val, d1, d2 = _horner(stack, z[..., 0], z[..., 1])
+        return val, np.stack([1j * z[..., 0] * d1, 1j * z[..., 1] * d2], axis=-1)
+
+    val, grad = at(theta)
+    live = np.ones(len(theta), dtype=bool)
     for _ in range(NEWTON_STEPS):
-        live &= val != 0
+        live &= np.abs(grad).max(axis=1) > 1e-150
         i = np.flatnonzero(live)
         if i.size == 0:
             break
-        g = grad[i]
-        # one vdot per start: a batched sum of squares rounds differently
-        g2 = np.array([np.real(np.vdot(row, row)) for row in g])
-        flat = g2 < 1e-300
-        live[i[flat]] = False
-        i, g, g2 = i[~flat], g[~flat], g2[~flat]
-        # part by part: numpy's complex-by-real division is not Python's
-        q = val[i]
-        q.real /= g2
-        q.imag /= g2
-        step = np.conj(g) * q[:, None]
-        t1 = _clip(z1[i, None] - _DAMPING * step[:, :1], rmax)
-        t2 = _clip(z2[i, None] - _DAMPING * step[:, 1:], rmax)
-        tv = _horner(stack, t1, t2)
-        lower = _modulus(tv[0]) < _modulus(val[i])[:, None]
+        jac = np.stack([grad[i].real, grad[i].imag], axis=-2)
+        res = np.stack([val[i].real, val[i].imag], axis=-1)
+        step = (np.linalg.pinv(jac) @ res[:, :, None])[:, :, 0]
+        trial = theta[i, None] - _DAMPING[:, None] * step[:, None]
+        tv, tg = at(trial)
+        lower = np.abs(tv) < np.abs(val[i])[:, None]
         moved = lower.any(axis=1)
         live[i[~moved]] = False
         first = lower.argmax(axis=1)[moved]
         i = i[moved]
-        z1[i] = t1[moved, first]
-        z2[i] = t2[moved, first]
-        val[i] = tv[0, moved, first]
-        grad[i] = tv[1:, moved, first].T
-    return z1, z2, _modulus(val)
+        theta[i], val[i], grad[i] = trial[moved, first], tv[moved, first], tg[moved, first]
+    return np.abs(val)
 
 
 def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
-    """Heuristic zero search on the closed polydisk of radius 1 - delta.
+    """Zero search on the closed polydisk of radius 1 - delta.
 
-    "zero_found" is certified (modulus below RESID_TOL times the coefficient
-    norm at a point inside the region); "none_found_heuristic" only reports
-    the smallest modulus encountered and is not a proof of nonvanishing.
+    "zero_found" is certified: a computed root of a boundary fibre or of
+    the slice p(., 0), inside the region, where |p| is at most RESID_TOL
+    times the coefficient norm.  "none_found_heuristic" reports the
+    smallest modulus seen and is not a proof of nonvanishing.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
     rmax = 1.0 - DELTA
-    tol = RESID_TOL * coeff_norm(p)
+    scale = coeff_norm(p)
+    c = p.coeffs / scale
+    m, n = p.bidegree
+    size = max(ANGLES, 1 << (4 * max(m, n) - 1).bit_length())
+    # p(r z1, r z2): its fibres over the roots of unity are p's over the
+    # ring rT, rescaled to the unit disk, and its torus values are p's on rT^2
+    shrunk = c * rmax ** np.add.outer(np.arange(m + 1), np.arange(n + 1))
 
-    coarse = _polar_points(rmax, COARSE_RADII, COARSE_ANGLES)
-    rstep = rmax / (COARSE_RADII - 1)
-    astep = 2.0 * np.pi / COARSE_ANGLES
-    fine_r = rmax / (RADII - 1)
-    fine_a = 2.0 * np.pi / ANGLES
+    # fibre j, column j, is p(rmax w^j, rmax z2) for w = exp(2 pi i / size)
+    fibres = np.fft.ifft(shrunk.T, n=size, norm="forward")
+    flagged = np.flatnonzero(_disk_flags(fibres))
+    step = max(1, -(-flagged.size // 8))
+    roots = _roots(c[:, 0])
+    z1, z2 = [roots], [np.zeros_like(roots)]
+    for j in flagged[step // 2 :: step]:
+        roots = rmax * _roots(fibres[:, j])
+        z1.append(np.full_like(roots, rmax * np.exp(2j * np.pi * j / size)))
+        z2.append(roots)
+    z1, z2 = np.concatenate(z1), np.concatenate(z2)
+    inside = (np.abs(z1) <= rmax + 1e-12) & (np.abs(z2) <= rmax + 1e-12)
+    z1, z2 = z1[inside], z2[inside]
+    vals = np.abs(_horner(c, z1, z2))
+    if vals.size and vals.min() <= RESID_TOL:
+        w = vals.argmin()
+        return BidiskZeroReport("zero_found", (complex(z1[w]), complex(z2[w])), float(vals[w] * scale), size)
 
-    tops = _topk_product(p, coarse, coarse, REFINE_TOP)
-    starts = _distinct_candidates(tops, min_sep=2.5 * rstep, limit=8)
-
-    z1 = np.array([z1c for _, z1c, _ in starts])
-    z2 = np.array([z2c for _, _, z2c in starts])
-    z1, z2, _ = _zoom(p, z1, z2, rstep, astep, rmax)
-    z1, z2, zoomed = _zoom(p, z1, z2, fine_r, fine_a, rmax)
-    n1, n2, newton = _gauss_newton(p, z1, z2, rmax)
-
-    best = tops[0][0]
-    best_pt = (tops[0][1], tops[0][2])
-    for i in range(len(starts)):
-        val, pt = float(zoomed[i]), (z1[i], z2[i])
-        if newton[i] < val:
-            val, pt = float(newton[i]), (n1[i], n2[i])
-        if val < best:
-            best, best_pt = val, pt
-
-    z1b, z2b = best_pt
-    if best <= tol and abs(z1b) <= rmax + 1e-12 and abs(z2b) <= rmax + 1e-12:
-        return BidiskZeroReport("zero_found", (complex(z1b), complex(z2b)), best)
-    return BidiskZeroReport("none_found_heuristic", None, best)
+    grid = np.abs(_torus_samples(shrunk, size)).ravel()
+    starts = np.argpartition(grid, 7)[:8]
+    theta = 2.0 * np.pi * np.stack([starts // size, starts % size], axis=-1) / size
+    best = min(_torus_descent(c, rmax, theta).min(), vals.min(initial=np.inf))
+    return BidiskZeroReport("none_found_heuristic", None, float(best * scale), size)

@@ -148,6 +148,37 @@ def test_zeros_interior_zero(capsys):
     assert doc["bidisk"]["bidisk"] == "zero_found"
 
 
+def test_zeros_large_resultant_is_refused_without_traceback(capsys):
+    # its Sylvester stack would take 512 GiB; the bidisk block is still written
+    code, out, err = run(capsys, "zeros", "-p", "z1^256*z2^256 + 2")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["torus"] is None
+    assert "budget" in doc["inconclusive"]
+    assert doc["bidisk"]["bidisk"] == "none_found_heuristic"
+    assert doc["bidisk"]["grid"] == {"delta": 0.001, "angles": 1024}
+    code, out, _ = run(capsys, "classify", "-p", "z1^256*z2^256 + 2", "--alpha", "1")
+    assert code == 4
+    assert "budget" in json.loads(out)["inconclusive"]
+
+
+def test_zeros_resultant_within_budget_answers(capsys):
+    # a 328 MB Sylvester stack, under the budget
+    code, out, _ = run(capsys, "zeros", "-p", "z1^40*z2^40 + 2")
+    assert code == 0
+    assert json.loads(out)["torus"] == {"torus": "empty"}
+
+
+def test_zero_free_power_is_never_certified_a_zero(capsys):
+    # (3 - z1 - z2)^13 has no zeros on the closed bidisk; its modulus near
+    # (1, 1) is below the certification tolerance, so classify refuses
+    code, out, _ = run(capsys, "zeros", "-p", "(3 - z1 - z2)^13")
+    assert json.loads(out)["bidisk"]["bidisk"] == "none_found_heuristic"
+    code, out, _ = run(capsys, "classify", "-p", "(3 - z1 - z2)^13", "--alpha", "1", "--nmax", "10")
+    assert code == 4
+    assert json.loads(out)["predicted"] == "not_applicable"
+
+
 def test_zeros_zero_free_reports_its_search_grid(capsys):
     code, out, _ = run(capsys, "zeros", "-p", "3 - z1 - z2")
     assert code == 0
@@ -156,13 +187,7 @@ def test_zeros_zero_free_reports_its_search_grid(capsys):
     assert doc["bidisk"] == {
         "bidisk": "none_found_heuristic",
         "min_modulus": pytest.approx(1.002, rel=1e-9),
-        "grid": {
-            "delta": 0.001,
-            "radii": 64,
-            "angles": 256,
-            "coarse_radii": 16,
-            "coarse_angles": 64,
-        },
+        "grid": {"delta": 0.001, "angles": 256},
     }
 
 

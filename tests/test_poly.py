@@ -166,61 +166,6 @@ def test_evaluate_one_point_arrays_match_scalar_exactly(rng):
                     assert complex(np.asarray(got).ravel()[0]) == val, (s1, s2)
 
 
-def test_topk_product_within_roundoff_of_reference(rng):
-    # the grid is a matrix product, not Horner: each value is within a
-    # forward-error bound of Horner's, and the k smallest agree up to the
-    # values that lie within that bound of the k-th
-    from bidisk.zeroset import _topk_product
-
-    eps = np.finfo(np.float64).eps
-    k = 10
-    for _ in range(10):
-        p = random_poly(rng, max_deg=12)
-        m, n = p.bidegree
-        pts1, _ = random_bidisk_points(rng, 150)
-        _, pts2 = random_bidisk_points(rng, 37)
-        ref = np.abs(_reference_grid(p.coeffs, pts1, pts2))
-        scale = _reference_grid(np.abs(p.coeffs), np.abs(pts1), np.abs(pts2)).real
-        bound = 4 * (m + n + 2) * eps * scale
-        got = _topk_product(p, pts1, pts2, k)
-        assert [v for v, _, _ in got] == sorted(v for v, _, _ in got)
-        index = {(complex(a), complex(b)): i for i, (a, b) in enumerate(
-            zip(np.repeat(pts1, pts2.size), np.tile(pts2, pts1.size)))}
-        chosen = [index[a, b] for _, a, b in got]
-        for (val, _, _), i in zip(got, chosen):
-            assert abs(val - ref[i]) <= bound[i]
-        order = np.argsort(ref, kind="stable")
-        kth = order[k - 1]
-        for i in set(chosen) ^ set(order[:k].tolist()):
-            assert abs(ref[i] - ref[kth]) <= bound[i] + bound[kth]
-
-
-def test_topk_product_breaks_ties_by_grid_index():
-    # |1 - z1 z2| on the polar grid depends on the angle sum only, so the
-    # coarse grid is full of equal values
-    from bidisk import zeroset
-    from bidisk.poly import _z1_coeffs
-
-    p = P("1 - z1 z2")
-    coarse = zeroset._polar_points(1.0 - zeroset.DELTA, zeroset.COARSE_RADII, zeroset.COARSE_ANGLES)
-    k = zeroset.REFINE_TOP
-    tops = zeroset._topk_product(p, coarse, coarse, k)
-    assert tops == zeroset._topk_product(p, coarse, coarse, k)
-    rows = _z1_coeffs(p.coeffs, coarse)
-    grid = np.concatenate([
-        np.abs(np.vander(coarse[s : s + 64], 2, increasing=True) @ rows).ravel()
-        for s in range(0, coarse.size, 64)
-    ])
-    order = np.lexsort((np.arange(grid.size), grid))[:k]
-    n = coarse.size
-    assert tops == [(float(grid[o]), complex(coarse[o // n]), complex(coarse[o % n])) for o in order]
-    assert len({v for v, _, _ in tops}) < k
-    # on a constant every value ties: the first k grid points, z1 major
-    assert zeroset._topk_product(P("2"), coarse[64:], coarse, k) == [
-        (2.0, complex(coarse[64]), complex(z)) for z in coarse[:k]
-    ]
-
-
 def test_stacked_horner_matches_separate_evaluations(rng):
     # p and its gradient from one stacked call, the derivative grids
     # zero-padded to p's shape, have the bits of three evaluate calls

@@ -95,3 +95,19 @@ def test_detail_threshold_fields():
     assert d.max_coeff > 0
     assert d.zero_threshold == pytest.approx(1e-8 * coeff_norm(P("2 - z1 - z2")) * coeff_norm(P("2*z1*z2 - z1 - z2")))
     assert not d.is_zero
+
+
+# The zero threshold is fixed: neither function takes it as a keyword.
+@pytest.mark.parametrize("fn", [resultant_z2, resultant_z2_detail])
+def test_resultant_rejects_threshold_keyword(fn):
+    with pytest.raises(TypeError, match="zero_rel_eps"):
+        fn(P("2 - z1 - z2"), P("2*z1*z2 - z1 - z2"), zero_rel_eps=1.0)
+
+
+def test_resultant_refuses_a_stack_over_budget():
+    # 131073 Sylvester matrices of size 512: 512 GiB
+    from bidisk.errors import InconclusiveError
+
+    p = P("z1^256*z2^256 + 2")
+    with pytest.raises(InconclusiveError, match="budget"):
+        resultant_z2_detail(p, P("2*z1^256*z2^256 + 1"))

@@ -128,3 +128,18 @@ def test_estimate_far_out_converges():
     assert roots.size == res.degree
     ref = np.roots(res.coeffs[::-1])
     assert np.sort(np.abs(roots)) == pytest.approx(np.sort(np.abs(ref)), abs=1e-8)
+
+
+# The root finder's tolerances are fixed: neither function takes a keyword.
+@pytest.mark.parametrize(
+    "override",
+    [{"circle_tol": 0.5}, {"resid_tol": 1.0}, {"cluster_tol": 0.1}, {"max_iter": 1}],
+)
+def test_circle_roots_reject_tolerance_keywords(override):
+    with pytest.raises(TypeError, match=next(iter(override))):
+        roots_on_unit_circle(Poly1([-1.0, 1.0]), **override)
+
+
+def test_aberth_rejects_iteration_keyword():
+    with pytest.raises(TypeError, match="max_iter"):
+        aberth_roots(Poly1([-1.0, 1.0]), max_iter=1)

@@ -9,13 +9,15 @@ from bidisk import (
     Poly2,
     bidisk_zero_search,
     parse_polynomial,
+    predict,
     rotate,
     torus_zeros,
 )
 from bidisk import zeroset
 from bidisk.errors import DegenerateInputError
 from bidisk.poly import coeff_norm
-from bidisk.zeroset import CIRCLE_TOL, DELTA, RESID_TOL
+from bidisk.rootfind import CIRCLE_TOL
+from bidisk.zeroset import DELTA, RESID_TOL
 
 P = parse_polynomial
 
@@ -202,66 +204,7 @@ def test_bidisk_squared_factor_stays_heuristic():
     assert rep.min_modulus == pytest.approx(1e-6, rel=0.2)
 
 
-# ------------------------------------------------- bidisk: batched vs scalar
-
-
-def _sequential_search(p):
-    """The search as it ran one start and one point at a time, kept as the
-    reference for the batched zooms and Gauss-Newton: (kind, point, modulus)."""
-    rmax = 1.0 - DELTA
-    rstep = rmax / (zeroset.COARSE_RADII - 1)
-    astep = 2.0 * np.pi / zeroset.COARSE_ANGLES
-    fine_r = rmax / (zeroset.RADII - 1)
-    fine_a = 2.0 * np.pi / zeroset.ANGLES
-    d1, d2 = p.derivative(1), p.derivative(2)
-
-    def zoom(z1c, z2c, rs, as_):
-        cloud1 = zeroset._local_cloud(z1c, rs, as_, rmax)
-        cloud2 = zeroset._local_cloud(z2c, rs, as_, rmax)
-        val, z1, z2 = zeroset._topk_product(p, cloud1, cloud2, 1)[0]
-        return z1, z2, val
-
-    def gauss_newton(z1, z2):
-        z = np.array([z1, z2], dtype=np.complex128)
-        for _ in range(zeroset.NEWTON_STEPS):
-            val = p.evaluate(z[0], z[1])
-            if val == 0:
-                break
-            g = np.array([d1.evaluate(z[0], z[1]), d2.evaluate(z[0], z[1])], dtype=np.complex128)
-            g2 = float(np.real(np.vdot(g, g)))
-            if g2 < 1e-300:
-                break
-            step = np.conj(g) * (val / g2)
-            damp = 1.0
-            for _ in range(20):
-                trial = z - damp * step
-                trial = np.array(
-                    [t if abs(t) <= rmax else t * (rmax / abs(t)) for t in trial],
-                    dtype=np.complex128,
-                )
-                if abs(p.evaluate(trial[0], trial[1])) < abs(val):
-                    z = trial
-                    break
-                damp *= 0.5
-            else:
-                break
-        return complex(z[0]), complex(z[1]), abs(p.evaluate(z[0], z[1]))
-
-    coarse = zeroset._polar_points(rmax, zeroset.COARSE_RADII, zeroset.COARSE_ANGLES)
-    tops = zeroset._topk_product(p, coarse, coarse, zeroset.REFINE_TOP)
-    best, best_pt = tops[0][0], (tops[0][1], tops[0][2])
-    for _, z1c, z2c in zeroset._distinct_candidates(tops, min_sep=2.5 * rstep, limit=8):
-        z1c, z2c, val = zoom(z1c, z2c, rstep, astep)
-        z1c, z2c, val = zoom(z1c, z2c, fine_r, fine_a)
-        z1n, z2n, vn = gauss_newton(complex(z1c), complex(z2c))
-        if vn < val:
-            z1c, z2c, val = z1n, z2n, vn
-        if val < best:
-            best, best_pt = val, (z1c, z2c)
-    tol = RESID_TOL * coeff_norm(p)
-    if best <= tol and abs(best_pt[0]) <= rmax + 1e-12 and abs(best_pt[1]) <= rmax + 1e-12:
-        return "zero_found", best_pt, best
-    return "none_found_heuristic", None, best
+# ------------------------------------------------- bidisk: by construction
 
 
 def _rotated(c, rng):
@@ -300,22 +243,102 @@ def _search_corpus():
     return polys
 
 
-def test_bidisk_search_matches_sequential_reference():
-    polys = _search_corpus()
-    assert len(polys) >= 100
+def _assert_certified(p, rep):
+    z1, z2 = rep.point
+    assert max(abs(z1), abs(z2)) <= 1.0 - DELTA + 1e-12
+    assert abs(p.evaluate(z1, z2)) <= RESID_TOL * coeff_norm(p)
+    assert rep.min_modulus <= RESID_TOL * coeff_norm(p)
+
+
+def test_bidisk_corpus_zeros_are_certified():
     kinds = set()
-    for p in polys:
+    for p in _search_corpus():
         rep = bidisk_zero_search(p)
-        kind, _, modulus = _sequential_search(p)
-        assert rep.kind == kind, p
-        kinds.add(kind)
-        if kind == "none_found_heuristic":
-            assert rep.min_modulus == pytest.approx(modulus, rel=1e-12, abs=0), p
+        kinds.add(rep.kind)
+        if rep.kind == "zero_found":
+            _assert_certified(p, rep)
         else:
-            z1, z2 = rep.point
-            assert abs(p.evaluate(z1, z2)) <= RESID_TOL * coeff_norm(p)
-            assert max(abs(z1), abs(z2)) <= 1.0 - DELTA + 1e-12
+            assert rep.point is None and rep.min_modulus > 0, p
     assert kinds == {"zero_found", "none_found_heuristic"}
+
+
+def test_bidisk_planted_zeros_are_found():
+    # q - q(a) vanishes at a, inside the search region
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        m, n = rng.integers(1, 7, 2)
+        c = rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1))
+        a = 0.95 * rng.random(2) ** 0.5 * np.exp(2j * np.pi * rng.random(2))
+        c[0, 0] -= Poly2(c).evaluate(a[0], a[1])
+        p = Poly2(c)
+        rep = bidisk_zero_search(p)
+        assert rep.kind == "zero_found", p
+        _assert_certified(p, rep)
+
+
+def test_bidisk_constant_dominant_modulus_is_bounded_below():
+    # |p| >= |c00| - sum of the other |c_kl| r^(k+l) on the closed r-polydisk
+    rng = np.random.default_rng(31)
+    rmax = 1.0 - DELTA
+    for degree in (1, 2, 4, 8, 12):
+        c = rng.standard_normal((degree + 1,) * 2) + 1j * rng.standard_normal((degree + 1,) * 2)
+        powers = rmax ** np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+        c[0, 0] = 0.0
+        bound = np.sum(np.abs(c) * powers)
+        c[0, 0] = 1.2 * bound
+        rep = bidisk_zero_search(Poly2(c))
+        assert rep.kind == "none_found_heuristic"
+        assert rep.min_modulus >= 0.2 * bound
+
+
+def test_bidisk_rotated_boundary_zero_margin():
+    # the minimum of |2 - z1 - z2| over the region is 2 delta, off the grid
+    # once the zero (1, 1) is rotated
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        rep = bidisk_zero_search(_rotated([[2.0, -1.0], [-1.0, 0.0]], rng))
+        assert rep.kind == "none_found_heuristic"
+        assert rep.min_modulus == pytest.approx(2.0 * DELTA, rel=1e-4)
+
+
+def test_bidisk_rotated_product_stays_not_applicable():
+    # the minimum delta^2 of (1 - z1)(1 - z2) is below the noise floor, so
+    # no rotation may turn the refusal into a verdict
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p = _rotated([[1.0, -1.0], [-1.0, 1.0]], rng)
+        rep = bidisk_zero_search(p)
+        assert rep.kind == "none_found_heuristic"
+        assert predict(p, 1.0, torus_zeros(p), rep).verdict == "not_applicable"
+
+
+def test_bidisk_high_degree_minimum_is_not_aliased():
+    # the grid resolves z1^128 z2^128: its minimum 2 - r^256 on the torus
+    rep = bidisk_zero_search(P("z1^128*z2^128 + 2"))
+    assert rep.kind == "none_found_heuristic"
+    assert rep.angles == 512
+    assert rep.min_modulus == pytest.approx(2.0 - (1.0 - DELTA) ** 256, abs=1e-6)
+
+
+def test_bidisk_zero_free_power_is_not_certified():
+    # |z1 + z2| <= 2 < 3 keeps (3 - z1 - z2)^13 zero-free, though its
+    # modulus near (1, 1) is far below RESID_TOL times its coefficient norm
+    p = P("(3 - z1 - z2)^13")
+    rep = bidisk_zero_search(p)
+    assert rep.kind == "none_found_heuristic"
+    assert rep.min_modulus == pytest.approx((1.0 + 2.0 * DELTA) ** 13, rel=1e-6)
+
+
+def test_bidisk_disk_flags_match_roots():
+    # Schur-Cohn against the moduli of numpy's roots, away from the circle
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((6, 400)) + 1j * rng.standard_normal((6, 400))
+    f[0] *= rng.uniform(0.2, 8.0, 400)
+    inner = np.array([np.abs(np.roots(col[::-1])).min() for col in f.T])
+    clear = np.abs(inner - 1.0) > 1e-6
+    flags = zeroset._disk_flags(f)
+    assert np.array_equal(flags[clear], inner[clear] <= 1.0)
+    assert flags.any() and not flags.all()
 
 
 @pytest.mark.parametrize(
@@ -355,31 +378,6 @@ def test_bidisk_search_raises_no_warning(text):
 def test_grid_config_rejects_out_of_range(override):
     with pytest.raises(TypeError, match=next(iter(override))):
         bidisk_zero_search(P("2 - z1 - z2"), **override)
-
-
-def test_coarse_grid_runs_on_one_openblas_thread(monkeypatch):
-    # a threaded product stalls while the second thread wakes after idling
-    from bidisk.approximant import _openblas_thread_calls
-
-    calls = _openblas_thread_calls("numpy")
-    if calls is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    get, put = calls
-    matmul, seen = np.matmul, []
-
-    def counted(*args, **kwargs):
-        seen.append(get())
-        return matmul(*args, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", counted)
-    before = get()
-    put(2)
-    try:
-        bidisk_zero_search(P("2 - z1 - z2 + 0.1 z1^4 z2^4"))
-        assert get() == 2
-    finally:
-        put(before)
-    assert seen and set(seen) == {1}
 
 
 def test_bidisk_nonvanishing_constant():
