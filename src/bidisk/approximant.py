@@ -30,14 +30,19 @@ formulas (f = 1 - z1 and f = 1 - z1*z2), used as oracles in the tests.
 
 ``decay_diagnostic`` fits decay models to a distance-squared sequence and
 labels it Decaying, Plateau, or Inconclusive.  The labels are advisory:
-they corroborate, never replace, the zero-set classification.
+they corroborate, never replace, the zero-set classification.  Each model
+is linear in its scale parameters once its one nonlinear parameter is
+fixed, so the fits are variable projection on numpy: the scales are solved
+in closed form (nonnegative) for a whole grid of the nonlinear parameter at
+once, and a fixed number of zooms around the best node finish the 1-D
+search.  A new model is one more entry in ``_DECAY_MODELS``: its name, the
+bounds of its nonlinear parameter and its closed-form linear part.
 
 scipy is imported on first use, inside the function that calls it: the
-solver loads ``scipy.sparse`` and ``scipy.linalg``, the decay fits
-``scipy.optimize`` and the certificate ``scipy.special``.  Importing the
-package, and the commands that need only numpy (norms, torus zeros,
-recurrences), then start without paying for scipy's import, which takes
-several times longer than numpy's.
+solver loads ``scipy.sparse`` and ``scipy.linalg``, the certificate
+``scipy.special``.  Importing the package, and the commands that need only
+numpy (norms, torus zeros, recurrences), then start without paying for
+scipy's import, which takes several times longer than numpy's.
 """
 
 from __future__ import annotations
@@ -435,44 +440,81 @@ def _rel_residual(data: np.ndarray, model_vals: np.ndarray) -> float:
     return float(np.linalg.norm(model_vals - data) / np.linalg.norm(data))
 
 
-# (name, model(theta, n), x0(n, y), bounds): two zero-asymptote models, then
-# the positive-limit model
+def _one_column(g: np.ndarray, y: np.ndarray):
+    """Nonnegative least-squares scale c of each row g_i of g against y."""
+    c = np.maximum(g @ y / np.einsum("ij,ij->i", g, g), 0.0)
+    return (c,), c[:, None] * g
+
+
+def _power(beta: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return n[None, :] ** -beta[:, None]
+
+
+def _log_decay(c0: np.ndarray, n: np.ndarray, y: np.ndarray):
+    return _one_column(1.0 / np.log(n[None, :] + c0[:, None]), y)
+
+
+def _power_decay(beta: np.ndarray, n: np.ndarray, y: np.ndarray):
+    return _one_column(_power(beta, n), y)
+
+
+def _power_plateau(beta: np.ndarray, n: np.ndarray, y: np.ndarray):
+    """dinf + c*n^-beta with dinf, c >= 0: the unconstrained two-column
+    solution where both entries are nonnegative, else the better face."""
+    g = _power(beta, n)
+    (c_face,), vals_face = _one_column(g, y)  # dinf = 0
+    y_mean = y.mean()
+    dinf_face = max(y_mean, 0.0)  # c = 0
+    use_dinf = ((y - dinf_face) ** 2).sum() < ((vals_face - y) ** 2).sum(axis=1)
+    dinf = np.where(use_dinf, dinf_face, 0.0)
+    c = np.where(use_dinf, 0.0, c_face)
+    g_mean = g.mean(axis=1)
+    gc = g - g_mean[:, None]
+    c_free = gc @ (y - y_mean) / np.einsum("ij,ij->i", gc, gc)
+    dinf_free = y_mean - c_free * g_mean
+    free = (c_free >= 0.0) & (dinf_free >= 0.0)
+    dinf = np.where(free, dinf_free, dinf)
+    c = np.where(free, c_free, c)
+    return (dinf, c), dinf[:, None] + c[:, None] * g
+
+
+# Each model is linear in its scale parameters once its one nonlinear
+# parameter t is fixed: (name, bounds of t, search t on a log scale,
+# linear(t, n, y) -> (scale parameters, model values), one row per t).
+# Two zero-asymptote models, then the positive-limit model; every model's
+# parameters are its scale parameters followed by t.
 _DECAY_MODELS = (
-    (
-        "c/log(n+c0)",
-        lambda t, n: t[0] / np.log(n + t[1]),
-        lambda n, y: [y[0] * np.log(n[0] + 2.0), 2.0],
-        ([0.0, 1.05], [np.inf, 1e6]),
-    ),
-    (
-        "c*n^-beta",
-        lambda t, n: t[0] * n ** (-t[1]),
-        lambda n, y: [y[0], 0.5],
-        ([0.0, 1e-3], [np.inf, 20.0]),
-    ),
-    (
-        "dinf+c*n^-beta",
-        lambda t, n: t[0] + t[1] * n ** (-t[2]),
-        lambda n, y: [max(y[-1] * 0.9, 1e-12), max(y[0] - y[-1], 1e-12), 0.7],
-        ([0.0, 0.0, 1e-3], [np.inf, np.inf, 20.0]),
-    ),
+    ("c/log(n+c0)", (1.05, 1e6), True, _log_decay),
+    ("c*n^-beta", (1e-3, 20.0), False, _power_decay),
+    ("dinf+c*n^-beta", (1e-3, 20.0), False, _power_plateau),
 )
+# the 1-D search over t: a grid of FIT_GRID nodes, then FIT_ZOOMS grids of
+# as many nodes between the neighbours of the best node so far
+FIT_GRID = 32
+FIT_ZOOMS = 10
 
 
 def _fit(model, n: np.ndarray, y: np.ndarray):
-    """(name, params, relative residual) of one least-squares fit, or None."""
-    from scipy.optimize import least_squares
+    """(name, params, relative residual) of one least-squares fit, or None.
 
-    name, curve, x0, bounds = model
-
-    def resid(theta):
-        return curve(theta, n) - y
-
-    try:
-        sol = least_squares(resid, x0=x0(n, y), bounds=bounds)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
-    return (name, tuple(sol.x), _rel_residual(y, resid(sol.x) + y))
+    Variable projection (Golub-Pereyra 1973): the scale parameters are
+    solved in closed form for every t, so only the profiled residual
+    min over scales of ||model - y||^2 is searched, over t alone.  A
+    non-finite profile (a non-finite y) gives no fit.
+    """
+    name, (t_lo, t_hi), log_scale, linear = model
+    lo, hi = (np.log(t_lo), np.log(t_hi)) if log_scale else (t_lo, t_hi)
+    for _ in range(FIT_ZOOMS + 1):
+        s = np.linspace(lo, hi, FIT_GRID)
+        t = np.clip(np.exp(s), t_lo, t_hi) if log_scale else s
+        scales, vals = linear(t, n, y)
+        profile = ((vals - y) ** 2).sum(axis=1)
+        if not np.all(np.isfinite(profile)):
+            return None
+        i = int(np.argmin(profile))
+        lo, hi = s[max(i - 1, 0)], s[min(i + 1, FIT_GRID - 1)]
+    params = tuple(float(a[i]) for a in scales) + (float(t[i]),)
+    return (name, params, _rel_residual(y, vals[i]))
 
 
 def decay_diagnostic(ds: Sequence[float]) -> DecayVerdict:
@@ -483,6 +525,11 @@ def decay_diagnostic(ds: Sequence[float]) -> DecayVerdict:
     fitted; the positive limit is reported only when its fit is good and the
     limit is a credible floor for the observed tail.  A sequence that starts
     at zero (a constant f) is decaying with the exact limit 0 and no fit.
+
+    An inconclusive label reports the fit with the smallest residual.  A
+    positive-limit fit whose limit is exactly 0 is the c*n^-beta fit, so it
+    is never reported in that fit's place, whatever the last bits of the
+    two residuals say.
     """
     y = np.asarray(ds, dtype=np.float64)
     if y.size < 8:
@@ -515,5 +562,5 @@ def decay_diagnostic(ds: Sequence[float]) -> DecayVerdict:
             return DecayVerdict("plateau", float(dinf), plateau_fit[0], plateau_fit[1], plateau_fit[2])
     if best_zero is not None and best_zero[2] < FIT_TOL and last < first * DROP_RATIO:
         return DecayVerdict("decaying", 0.0, best_zero[0], best_zero[1], best_zero[2])
-    ref = min(fits, key=lambda f: f[2])
+    ref = min((f for f in fits if not (f is plateau_fit and f[1][0] == 0.0)), key=lambda f: f[2])
     return DecayVerdict("inconclusive", None, ref[0], ref[1], ref[2])

@@ -23,6 +23,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 from typing import Optional, Sequence
@@ -123,9 +124,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         with _output_file(out) as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        # one write, flushed here, so that a reader that has gone raises
+        # BrokenPipeError inside main rather than at interpreter exit
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
 
 
 def _emit_json(obj, out: Optional[str]) -> None:
@@ -436,6 +438,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # the reader closed the pipe (`bidisk ... | head`): nothing is left to
+        # report to, so end quietly; stdout goes to devnull, because the
+        # interpreter flushes it once more at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ involving z2; numerically this is declared when every interpolated
 coefficient is below ``ZERO_REL_EPS`` times the product of the input
 coefficient norms.  Verdicts within a factor of 10 of that threshold are
 refused (InconclusiveError) rather than guessed, and so are inputs whose
-Sylvester matrices would take more than STACK_BYTES.
+Sylvester matrices would take more than STACK_BYTES.  Determinants past the
+double range raise NumericalError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InconclusiveError
+from .errors import DegenerateInputError, InconclusiveError, NumericalError
 from .poly import Poly1, Poly2, coeff_norm
 
 __all__ = ["resultant_z2", "resultant_z2_detail", "ResultantDetail"]
@@ -96,8 +97,14 @@ def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
     v2 = np.power(omega[:, None], np.arange(m2 + 1)[None, :])
     pvals = v1 @ p.coeffs
     qvals = v2 @ q.coeffs
-    dets = np.linalg.det(_sylvester_stack(pvals, qvals))
-    coeffs = np.fft.fft(dets) / nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(_sylvester_stack(pvals, qvals))
+        coeffs = np.fft.fft(dets) / nodes
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError(
+            f"resultant overflows the double range: its {nodes} Sylvester determinants "
+            f"of size {n1 + n2} are not all finite"
+        )
     threshold = ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q)
     return ResultantDetail(
         coeffs=coeffs,

@@ -5,7 +5,9 @@ brute-force path that shares no code with the production solver: Gram
 matrices assembled entry by entry from direct inner products and solved
 with numpy's generic solver.  The production solver is also checked row
 by row against dense solves for each basis alone, kept in this module:
-one dense Cholesky factorization and one SVD least squares.
+one dense Cholesky factorization and one SVD least squares.  The decay
+fits are checked against bounded ``scipy.optimize.least_squares`` fits of
+the same models, also kept here.
 """
 
 import warnings
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.special
 from scipy.linalg import solve_triangular
+from scipy.optimize import least_squares
 
 from bidisk import approximant
 from bidisk.approximant import (
@@ -348,8 +351,8 @@ def test_decay_zero_sequence_is_exact():
 
 
 def test_decay_nan_sequence_is_inconclusive():
-    # every model's least-squares fit refuses a non-finite start, so no fit
-    # survives and nothing is guessed
+    # every model's profiled residual is non-finite, so no fit survives and
+    # nothing is guessed
     v = decay_diagnostic([float("nan")] * 10)
     assert v.label == "inconclusive"
     assert v.fit_model == "none"
@@ -362,6 +365,125 @@ def test_decay_plateau_floor_config():
     vals = [5e-4 + 0.3 / (n + 1.0) ** 1.5 for n in range(2000)]
     v = decay_diagnostic(vals)
     assert v.label != "plateau"
+
+
+# Reference decay fits: each model by bounded least_squares from a fixed
+# start, as (model(theta, n), x0(n, y), bounds).  Its default tolerances
+# stop up to 1e-4 short of the minimiser in the parameters, so the reference
+# runs them at 1e-15.
+_REFERENCE_MODELS = {
+    "c/log(n+c0)": (
+        lambda t, n: t[0] / np.log(n + t[1]),
+        lambda n, y: [y[0] * np.log(n[0] + 2.0), 2.0],
+        ([0.0, 1.05], [np.inf, 1e6]),
+    ),
+    "c*n^-beta": (
+        lambda t, n: t[0] * n ** (-t[1]),
+        lambda n, y: [y[0], 0.5],
+        ([0.0, 1e-3], [np.inf, 20.0]),
+    ),
+    "dinf+c*n^-beta": (
+        lambda t, n: t[0] + t[1] * n ** (-t[2]),
+        lambda n, y: [max(y[-1] * 0.9, 1e-12), max(y[0] - y[-1], 1e-12), 0.7],
+        ([0.0, 0.0, 1e-3], [np.inf, np.inf, 20.0]),
+    ),
+}
+
+
+def reference_fit(model, n, y):
+    name = model[0]
+    curve, x0, bounds = _REFERENCE_MODELS[name]
+    try:
+        sol = least_squares(
+            lambda t: curve(t, n) - y, x0=x0(n, y), bounds=bounds, ftol=1e-15, xtol=1e-15, gtol=1e-15
+        )
+    except (ValueError, np.linalg.LinAlgError):
+        return None
+    return (name, tuple(sol.x), approximant._rel_residual(y, curve(sol.x, n)))
+
+
+def decay_corpus():
+    """Distance-squared sequences of every kind the label sees."""
+    rng = np.random.default_rng(1713)
+    seqs = []
+    for degree, nmax in ((2, 24), (4, 16), (8, 12)):
+        c = rng.standard_normal((degree + 1, degree + 1)) + 1j * rng.standard_normal((degree + 1, degree + 1))
+        c[0, 0] = 0.0
+        c[0, 0] = 1.5 * np.abs(c).sum()
+        for alpha in (0.5, 3.0):
+            seqs.append([r.distance_squared for r in distance_scan(Poly2(c), iso(alpha), nmax)])
+    for text, nmax, family in (
+        ("2 - z1 - z2", 28, "total"),
+        ("1 - z1*z2", 28, "total"),
+        ("1 - z1*z2", 120, "diagonal"),
+        ("(1 - z1)*(1 - z2)", 16, "total"),
+    ):
+        zeta, eta = np.exp(2j * np.pi * rng.random(2))
+        f = rotate(P(text), zeta, eta)
+        for alpha in (0.5, 1.0, 2.0, 3.0):
+            seqs.append([r.distance_squared for r in distance_scan(f, iso(alpha), nmax, family=family)])
+    seqs.append(harmonic_reciprocal(200))
+    seqs.append(partial_zeta_reciprocal(2.0, 50))
+    seqs.append([5e-4 + 0.3 / (n + 1.0) ** 1.5 for n in range(2000)])
+    return seqs
+
+
+def test_decay_fits_match_least_squares_reference(monkeypatch):
+    seqs = decay_corpus()
+    verdicts = [decay_diagnostic(y) for y in seqs]
+    monkeypatch.setattr(approximant, "_fit", reference_fit)
+    references = [decay_diagnostic(y) for y in seqs]
+    monkeypatch.undo()
+    ties = 0
+    for y, got, want in zip(seqs, verdicts, references):
+        assert got.label == want.label
+        y = np.asarray(y)
+        n = np.arange(1.0, y.size + 1.0)
+        for model in approximant._DECAY_MODELS:
+            fit, ref = approximant._fit(model, n, y), reference_fit(model, n, y)
+            # 1e-14: the floor sequence is fitted exactly, to roundoff
+            assert fit[2] <= ref[2] * (1 + 1e-9) + 1e-14
+            got_params, want_params = fit[1], ref[1]
+            if model[0] == "dinf+c*n^-beta" and got_params[0] == 0.0:
+                # a tie with the c*n^-beta fit: the reference lands on a
+                # limit at roundoff, the rest must still agree
+                assert want_params[0] <= 1e-12 * y[0]
+                got_params, want_params = got_params[1:], want_params[1:]
+                ties += 1
+            assert got_params == pytest.approx(want_params, rel=1e-6, abs=0)
+        if got.fit_model != want.fit_model:
+            assert (got.fit_model, want.fit_model) == ("c*n^-beta", "dinf+c*n^-beta")
+            assert want.fit_params[0] <= 1e-12 * y[0]
+        else:
+            assert got.fit_params == pytest.approx(want.fit_params, rel=1e-6, abs=0)
+    assert ties > 0  # the tie rule is exercised
+
+
+def test_decay_plateau_fit_keeps_both_parameters_nonnegative():
+    # data that want c < 0 (rising) or dinf < 0 (falling below zero at the
+    # end of the window) land on a face of the bounds, as the reference does
+    plateau = approximant._DECAY_MODELS[2]
+    n = np.arange(1.0, 11.0)
+    rising = 0.5 + 1e-3 * n
+    falling = 2.0 / n - 0.1
+    for y, face in ((rising, 1), (falling, 0)):
+        fit, ref = approximant._fit(plateau, n, y), reference_fit(plateau, n, y)
+        assert fit[1][face] == 0.0
+        assert fit[2] <= ref[2] * (1 + 1e-9)
+    assert approximant._fit(plateau, n, rising)[1][0] == pytest.approx(rising.mean(), rel=1e-12)
+
+
+def test_decay_tie_is_reported_as_the_power_fit(monkeypatch):
+    # a zero limit whose residual is lower in the last bit: the reference is
+    # still the c*n^-beta fit
+    def fit(model, n, y):
+        params = {"c/log(n+c0)": (1.0, 2.0), "c*n^-beta": (1.0, 0.5), "dinf+c*n^-beta": (0.0, 1.0, 0.5)}
+        residual = {"c/log(n+c0)": 0.5, "c*n^-beta": 0.2, "dinf+c*n^-beta": np.nextafter(0.2, 0.0)}
+        return (model[0], params[model[0]], residual[model[0]])
+
+    monkeypatch.setattr(approximant, "_fit", fit)
+    v = decay_diagnostic([1.0 - 0.01 * k for k in range(10)])
+    assert (v.label, v.fit_model, v.fit_params) == ("inconclusive", "c*n^-beta", (1.0, 0.5))
 
 
 # ------------------------------------------------------------- certificates

@@ -1,9 +1,14 @@
-"""End-to-end checks of the command line interface, run in process."""
+"""End-to-end checks of the command line interface, run in process; the
+closed-pipe check runs it in a child process, which owns its stdout."""
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ import pytest
 from bidisk import closed_form_distance, parse_polynomial, poly2_to_json_dict
 from bidisk.cli import main
 from bidisk.errors import InconclusiveError, NumericalError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -567,6 +574,34 @@ def test_operator_overflow_is_a_numerical_failure(capsys):
     assert code == 3
     assert out == ""
     assert err == "numerical failure: weighted operator overflows the double range\n"
+
+
+def test_resultant_overflow_is_a_numerical_failure(capsys):
+    # (3 - z1 - z2)^20 is a valid input; its resultant overflowing is the
+    # program's failure (exit 3), not an input error (exit 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", "-p", "(3 - z1 - z2)^20", "--alpha", "1", "--nmax", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: resultant overflows the double range")
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    # the reader is gone before the report is written: no traceback, exit 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bidisk.cli", "zeros", "-p", "(2 - z1 - z2)*(3 - z1 - z2)"],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
 
 
 def test_zeros_with_negligible_trailing_coefficient(capsys):

@@ -75,10 +75,20 @@ def test_solver_commands_load_no_fitting_modules(tmp_path, argv):
     assert not modules & {"scipy.optimize", "scipy.special"}
 
 
-def test_classify_loads_the_fitting_modules(tmp_path):
-    # the check above can see a load when one happens
+def test_no_command_loads_scipy_optimize(tmp_path):
+    # the decay fits need only numpy
     code, modules = loaded(
         tmp_path, _MAIN, "classify", "-p", "1 - z1*z2", "--alpha", "1", "--nmax", "10", "--family", "diagonal"
     )
     assert code == 0
-    assert {"scipy.optimize", "scipy.special"} <= modules
+    assert "scipy.optimize" not in modules
+    assert "scipy.special" not in modules  # the certificate is not needed at alpha <= 2
+
+
+def test_classify_loads_the_certificate_module(tmp_path):
+    # the checks above can see a load when one happens: the evaluation-bound
+    # certificate of a torus zero at alpha > 2 needs scipy.special
+    code, modules = loaded(tmp_path, _MAIN, "classify", "-p", "1 - z1*z2", "--alpha", "3", "--nmax", "10")
+    assert code == 0
+    assert "scipy.special" in modules
+    assert "scipy.optimize" not in modules

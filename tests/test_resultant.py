@@ -111,3 +111,18 @@ def test_resultant_refuses_a_stack_over_budget():
     p = P("z1^256*z2^256 + 2")
     with pytest.raises(InconclusiveError, match="budget"):
         resultant_z2_detail(p, P("2*z1^256*z2^256 + 1"))
+
+
+def test_resultant_overflow_is_a_numerical_failure():
+    # the Sylvester determinants of (3 - z1 - z2)^20 and its reflection
+    # overflow; no warning escapes and no NaN reaches the interpolation
+    import warnings
+
+    from bidisk.errors import NumericalError
+    from bidisk.operators import reflect
+
+    p = P("(3 - z1 - z2)^20")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows"):
+            resultant_z2_detail(p, reflect(p))
