@@ -8,7 +8,12 @@ modulus as p on the torus):
 2. a polynomial in one variable only has zeros {rho} x T per circle root,
    so the verdict is Empty or Infinite outright;
 3. p proportional to p~ signals a curve of torus zeros (Infinite);
-4. otherwise every torus zero is a common root of p and p~, so its first
+4. the set is Empty when |p| at every node of the N x N grid of T^2
+   exceeds what p can lose on the way to any torus point: each lies within
+   pi/N of a node in both angles, so by the mean-value theorem |p| drops by
+   at most (pi/N) sum (k + l)|c_kl| there, and N eps sum |c_kl| covers the
+   FFT's rounding;
+5. otherwise every torus zero is a common root of p and p~, so its first
    coordinate is a unit-circle root of Res_z2(p, p~); slicing p there and
    taking unit-circle roots in z2 yields finitely many verified candidates.
 
@@ -30,9 +35,10 @@ rests on two classical facts.
   angles, started from the smallest values of one FFT of p on the N x N
   grid of rT^2, and of p at the computed roots inside the region.
 
-N is ANGLES or, for higher degree, the power of two at least four times
-the larger partial degree.  The search works on p / ||p||, so its
-tolerance is RESID_TOL itself, and reports moduli in p's own scale.
+N, here and in step 4, is ANGLES or, for higher degree, the power of two
+at least four times the larger partial degree.  The search works on
+p / ||p||, so its tolerance is RESID_TOL itself, and reports moduli in p's
+own scale.
 """
 
 from __future__ import annotations
@@ -125,6 +131,28 @@ def _strip_monomial(p: Poly2) -> Poly2:
     return Poly2(c[a:, b:])
 
 
+def _grid_size(m: int, n: int) -> int:
+    """Points per circle of the torus grid for bidegree (m, n)."""
+    return max(ANGLES, 1 << (4 * max(m, n) - 1).bit_length())
+
+
+def _torus_bounded_away(core: Poly2) -> bool:
+    """Whether one FFT grid of core proves that it has no zero on T^2.
+
+    Every torus point lies within pi/N of a node in both angles, where |p|
+    can drop by at most (pi/N) sum (k + l)|c_kl|; the inverse FFT's
+    rounding is far below N eps sum |c_kl|.  Works on p / ||p||, so
+    neither side can overflow.
+    """
+    c = core.coeffs / coeff_norm(core)
+    m, n = core.bidegree
+    size = _grid_size(m, n)
+    mod = np.abs(c)
+    slope = np.pi / size * np.sum(mod * np.add.outer(np.arange(m + 1), np.arange(n + 1)))
+    rounding = size * np.finfo(np.float64).eps * mod.sum()
+    return np.abs(_torus_samples(c, size)).min() > slope + rounding
+
+
 def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
     roots = roots_on_unit_circle(coeffs)
     if not roots:
@@ -139,9 +167,11 @@ def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
 def torus_zeros(p: Poly2) -> TorusZeroClass:
     """Classify the zero set of p on the unit torus.
 
-    Raises InconclusiveError when the resultant's zero test lands too close
-    to its threshold to commit or the resultant is too large to compute,
-    and DegenerateInputError for the zero polynomial.
+    An input whose modulus on one FFT grid of the torus proves it
+    zero-free there reads "empty" without the resultant.  Raises
+    InconclusiveError when the resultant's zero test lands too close to its
+    threshold to commit or the resultant is too large to compute, and
+    DegenerateInputError for the zero polynomial.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
@@ -159,6 +189,8 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     lam = proportional(core, mirror, PROPORTIONAL_TOL)
     if lam is not None:
         return TorusZeroClass("infinite", witness="proportional_reflection", witness_data=lam)
+    if _torus_bounded_away(core):
+        return TorusZeroClass("empty")
 
     detail = resultant_z2_detail(core, mirror)
     if detail.is_zero:
@@ -312,7 +344,7 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     scale = coeff_norm(p)
     c = p.coeffs / scale
     m, n = p.bidegree
-    size = max(ANGLES, 1 << (4 * max(m, n) - 1).bit_length())
+    size = _grid_size(m, n)
     # p(r z1, r z2): its fibres over the roots of unity are p's over the
     # ring rT, rescaled to the unit disk, and its torus values are p's on rT^2
     shrunk = c * rmax ** np.add.outer(np.arange(m + 1), np.arange(n + 1))

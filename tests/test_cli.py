@@ -170,8 +170,9 @@ def test_zeros_large_resultant_is_refused_without_traceback(capsys):
 
 
 def test_zeros_resultant_within_budget_answers(capsys):
-    # a 328 MB Sylvester stack, under the budget
-    code, out, _ = run(capsys, "zeros", "-p", "z1^40*z2^40 + 2")
+    # a 328 MB Sylvester stack, under the budget: min |p| = 0.5 on the
+    # torus is below the grid check's slope 0.98, so the resultant decides
+    code, out, _ = run(capsys, "zeros", "-p", "z1^40*z2^40 + 1.5")
     assert code == 0
     assert json.loads(out)["torus"] == {"torus": "empty"}
 

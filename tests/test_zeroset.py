@@ -165,6 +165,89 @@ def test_torus_json_shapes():
     assert d["value"] == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
+# ------------------------------------------------- torus: the grid check
+
+
+def _grid_check_corpus():
+    """Dense inputs whose constant term outweighs the rest by 0.1 to 1.5
+    (zero-free above 1), random dense inputs and rotated models."""
+    rng = np.random.default_rng(1818)
+    polys = []
+    for _ in range(60):
+        m, n = rng.integers(1, 13, 2)
+        c = rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1))
+        c[0, 0] = 0.0
+        c[0, 0] = rng.uniform(0.1, 1.5) * np.abs(c).sum() * np.exp(2j * np.pi * rng.random())
+        polys.append(Poly2(c))
+    for _ in range(60):
+        m, n = rng.integers(1, 8, 2)
+        polys.append(Poly2(rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1))))
+    models = ([[2.0, -1.0], [-1.0, 0.0]], [[3.0, -1.0], [-1.0, 0.0]], [[1.0, 0.5], [0.5, 0.0]])
+    polys += [_rotated(models[i % 3], rng) for i in range(15)]
+    return polys
+
+
+def test_torus_grid_check_is_sound(monkeypatch):
+    # wherever the grid proves the torus empty, the resultant route finds
+    # no torus point either
+    fired = [p for p in _grid_check_corpus() if zeroset._torus_bounded_away(zeroset._strip_monomial(p))]
+    assert 40 <= len(fired) <= 100
+    monkeypatch.setattr(zeroset, "_torus_bounded_away", lambda core: False)
+    for p in fired:
+        assert torus_zeros(p).kind == "empty", p
+
+
+def test_torus_grid_check_never_passes_a_planted_zero():
+    # q - q(zeta, eta) vanishes at a torus point, however small q's slope
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        m, n = rng.integers(1, 13, 2)
+        c = rng.standard_normal((m + 1, n + 1)) + 1j * rng.standard_normal((m + 1, n + 1))
+        c[0, 0] = 0.0
+        c[0, 0] = rng.uniform(0.5, 3.0) * np.abs(c).sum()
+        zeta, eta = np.exp(2j * np.pi * rng.random(2))
+        c[0, 0] -= Poly2(c).evaluate(zeta, eta)
+        assert not zeroset._torus_bounded_away(zeroset._strip_monomial(Poly2(c)))
+
+
+def _no_resultant(*args):
+    raise AssertionError("resultant built")
+
+
+def test_torus_grid_check_answers_without_resultant(monkeypatch):
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
+    c[0, 0] = 0.0
+    c[0, 0] = 1.5 * np.abs(c).sum()
+    monkeypatch.setattr(zeroset, "resultant_z2_detail", _no_resultant)
+    for p in (Poly2(c), P("3 - z1 - z2"), P("z1^40*z2^40 + 2"), P("z1^3 z2 (4 + z1 + z2)")):
+        assert torus_zeros(p).kind == "empty", p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 - z1 - z2",
+        "(3 - z1 - z2)^13",
+        # slope (pi / 1024) 512 = 1.57 against min |p| = 1
+        "z1^256*z2^256 + 2",
+        # slope (pi / 256) 80 = 0.98 against min |p| = 0.5
+        "z1^40*z2^40 + 1.5",
+        # slope 1.84e-6 against min |p| = 1e-6
+        "1e-6*(3 - z1 - z2)^3",
+    ],
+)
+def test_torus_grid_check_falls_through(text):
+    assert not zeroset._torus_bounded_away(zeroset._strip_monomial(P(text)))
+
+
+@pytest.mark.parametrize("scale", ["1e-6", "1e-3", "1", "1e3"])
+def test_torus_scaled_square_reads_empty(scale):
+    # the resultant's zero test called 1e-6 (3 - z1 - z2)^2 "infinite"
+    # (vanishing_resultant); the grid proves |p| >= 1e-6 on the torus
+    assert torus_zeros(P(f"{scale}*(3 - z1 - z2)^2")).to_json_dict() == {"torus": "empty"}
+
+
 # --------------------------------------------------------------- bidisk
 
 
