@@ -75,12 +75,17 @@ def _pow_alpha(base: np.ndarray, alpha: float) -> np.ndarray:
     return np.power(base, alpha)
 
 
+def monomial_weights(space: SpaceSpec, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Weights of the monomials z1^k z2^l, elementwise over k and l."""
+    base = (k + l + 1.0) if space.kind == "iso" else (k + 1.0) * (l + 1.0)
+    return _pow_alpha(base, space.alpha)
+
+
 def weight_grid(space: SpaceSpec, kmax: int, lmax: int) -> np.ndarray:
     """Grid of weights for exponents 0..kmax times 0..lmax."""
     k = np.arange(kmax + 1, dtype=np.float64)[:, None]
     l = np.arange(lmax + 1, dtype=np.float64)[None, :]
-    base = (k + l + 1.0) if space.kind == "iso" else (k + 1.0) * (l + 1.0)
-    return _pow_alpha(base, space.alpha)
+    return monomial_weights(space, k, l)
 
 
 def _coeff_grid(f: Union[Poly1, Poly2]) -> np.ndarray:

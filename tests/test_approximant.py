@@ -10,6 +10,7 @@ fits are checked against bounded ``scipy.optimize.least_squares`` fits of
 the same models, also kept here.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -23,8 +24,10 @@ from bidisk.approximant import (
     BasisSpec,
     DecayVerdict,
     _band_cholesky,
-    _exponents,
+    _check_block_width,
+    _graded_exponents,
     _gram_band,
+    _renumber,
     _weighted_operator,
     basis_monomials,
     closed_form_distance,
@@ -39,6 +42,10 @@ from bidisk.operators import rotate
 from bidisk.poly import Poly2
 from bidisk.spaces import inner_product, iso, norm_squared
 from conftest import random_poly
+
+
+def _exponents(basis):
+    return np.array(basis, dtype=np.int64).reshape(-1, 2)
 
 
 def brute_distance_sq(f, space, basis):
@@ -81,6 +88,23 @@ def dense_cholesky_distance_sq(f, space, basis):
     return _residual_norm(f, space, basis, c)
 
 
+def per_row_distances_sq(f, space, basis, sizes):
+    """The prefix solver one row at a time: one banded back substitution
+    and one sparse residual product A c - e_0 per prefix size."""
+    a = _weighted_operator(f, _exponents(basis), space)
+    low = _band_cholesky(_gram_band(a))
+    v = a[0].conj().toarray().ravel()  # v = A^H e_0
+    y = approximant._band_solve(low, v, "N")
+    out = []
+    for size in sizes:
+        padded = np.zeros(len(basis), dtype=np.complex128)
+        padded[:size] = approximant._band_solve(low[:, :size], y[:size], "C")
+        residual = a @ padded
+        residual[0] -= 1.0
+        out.append(min(max(float(np.sum(residual.real**2 + residual.imag**2)), 0.0), 1.0))
+    return out
+
+
 def dense_lstsq_distance_sq(f, space, basis):
     """SVD least squares min ||A c - e_0|| on the rows A reaches, for this
     basis alone."""
@@ -112,6 +136,27 @@ def test_basis_prefix_property():
     small = basis_monomials(BasisSpec.total(3))
     big = basis_monomials(BasisSpec.total(6))
     assert big[: len(small)] == small
+
+
+def test_graded_exponents_match_basis_monomials():
+    for n in range(61):
+        specs = [BasisSpec.total(n), BasisSpec.diagonal(n)]
+        specs += [BasisSpec.box(n, n2) for n2 in sorted({0, 1, 7, n, 60 - n})]
+        for spec in specs:
+            assert _graded_exponents(spec).tolist() == [list(e) for e in basis_monomials(spec)]
+
+
+def test_renumber_routes_agree():
+    # the same keys through the mask (a small range) and through np.unique
+    # (a range far larger than the keys)
+    rng = np.random.default_rng(5)
+    keys = rng.integers(1, 100, size=(40, 3))
+    masked = _renumber(keys, 100)
+    sorted_ = _renumber(keys, 10**6)
+    for reached, index in (masked, sorted_):
+        assert reached.tolist() == sorted({0, *keys.ravel().tolist()})
+        assert np.array_equal(reached[index], keys)
+    assert np.array_equal(masked[1], sorted_[1])
 
 
 # --------------------------------------------------------------- hand values
@@ -580,6 +625,54 @@ def test_self_check_trips_on_cholesky_route(monkeypatch):
     monkeypatch.setattr("bidisk.approximant._band_solve", perturbed)
     with pytest.raises(NumericalError, match="self-check failed"):
         distance_scan(P("2 - z1 - z2"), iso(1.0), 20)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_self_check_names_the_perturbed_row(monkeypatch, block):
+    # one middle row of the first or the second block of rows is perturbed;
+    # the message carries that row's residual norm and solver value
+    f, sp = P("2 - z1 - z2"), iso(1.0)
+    n_max = 0
+    while True:
+        a = _operator(f, BasisSpec.total(n_max), sp)
+        width = _check_block_width(a)
+        if n_max + 1 > width:
+            break
+        n_max += 1
+    start, stop = block * width, min((block + 1) * width, n_max + 1)
+    n = (start + stop) // 2
+    target = (n + 1) * (n + 2) // 2
+    band_solve = approximant._band_solve
+
+    def perturbed(low, b, trans):
+        x = band_solve(low, b, trans)
+        return x * (1.0 + 1e-7) if trans == "C" and b.size == target else x
+
+    low = _band_cholesky(_gram_band(a))
+    v = a[0].conj().toarray().ravel()
+    c = perturbed(low[:, :target], band_solve(low, v, "N")[:target], "C")
+    residual = a[:, :target] @ c
+    residual[0] -= 1.0
+    want = (float(np.sum(np.abs(residual) ** 2)), 1.0 - float(np.real(np.vdot(v[:target], c))))
+
+    monkeypatch.setattr("bidisk.approximant._band_solve", perturbed)
+    with pytest.raises(NumericalError, match="self-check failed") as err:
+        distance_scan(f, sp, n_max)
+    got = re.search(r"residual norm (\S+) vs solver value (\S+)$", str(err.value)).groups()
+    assert [float(x) for x in got] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_gram_overflow_is_refused():
+    # 1e160^2 is past the double range: the Gram matrix is refused, where
+    # the factorization's infinite pivot gave c = 0 and d^2 = 1 on every row
+    for f in (P("1e160*(1 - z1)"), P("1e160*(1 - z1*z2)")):
+        with pytest.raises(NumericalError, match="Gram matrix overflows the double range"):
+            distance_scan(f, iso(1.0), 3)
+        with pytest.raises(NumericalError, match="Gram matrix overflows the double range"):
+            optimal_approximant(f, BasisSpec.total(3), iso(1.0))
+    # 1e150^2 is not, and the scale of f leaves the distances alone
+    for row in distance_scan(P("1e150*(1 - z1)"), iso(1.0), 3):
+        assert row.distance_squared == pytest.approx(closed_form_distance("one_minus_z1", 1.0, row.n), rel=1e-12)
 
 
 def test_self_check_trips_on_overflow():

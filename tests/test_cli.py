@@ -577,6 +577,19 @@ def test_operator_overflow_is_a_numerical_failure(capsys):
     assert err == "numerical failure: weighted operator overflows the double range\n"
 
 
+@pytest.mark.parametrize("n_max", ["3", "10"])
+def test_gram_overflow_is_a_numerical_failure(capsys, n_max):
+    # A's entries are finite, but its squares overflow in A^H A: refused
+    # before the factorization, whose infinite pivot would give c = 0 and
+    # d^2 = 1 on every row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "scan", "-p", "1e160*(1 - z1)", "--alpha", "1", "--nmax", n_max)
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: Gram matrix overflows the double range\n"
+
+
 def test_resultant_overflow_is_a_numerical_failure(capsys):
     # (3 - z1 - z2)^20 is a valid input; its resultant overflowing is the
     # program's failure (exit 3), not an input error (exit 2)

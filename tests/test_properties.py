@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidisk.approximant import BasisSpec, basis_monomials, distance_scan
+from bidisk.approximant import BasisSpec, basis_monomials, distance_scan, optimal_approximant
 from bidisk.operators import rotate
 from bidisk.poly import Poly2
 from bidisk.spaces import iso
-from test_approximant import dense_lstsq_distance_sq
+from test_approximant import dense_lstsq_distance_sq, per_row_distances_sq
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
 angle = st.floats(0.0, 2.0 * np.pi, allow_nan=False)
@@ -72,3 +72,26 @@ def test_scan_matches_dense_least_squares(f, alpha, n_max, family):
         basis = basis_monomials(BasisSpec(family, row.n))
         want = dense_lstsq_distance_sq(f, sp, basis)
         assert row.distance_squared == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    f=dominant_constant_polys(),
+    alpha=st.floats(-12.0, 3.0, allow_nan=False),
+    n_max=st.integers(0, 10),
+    n2=st.integers(0, 6),
+)
+def test_blocked_rows_match_per_row_solves(f, alpha, n_max, n2):
+    # every row of a scan, and the box approximant, equals the prefix
+    # solver run one row at a time.  A constant f has d = 0 up to rounding.
+    sp = iso(alpha)
+    tol = dict(rel=1e-13, abs=0.0) if f.bidegree != (0, 0) else dict(abs=1e-15)
+    for family in ("total", "diagonal"):
+        rows = distance_scan(f, sp, n_max, family=family)
+        basis = basis_monomials(BasisSpec(family, n_max))
+        want = per_row_distances_sq(f, sp, basis, [row.basis_size for row in rows])
+        assert [row.distance_squared for row in rows] == pytest.approx(want, **tol)
+    spec = BasisSpec.box(n_max, n2)
+    basis = basis_monomials(spec)
+    got = optimal_approximant(f, spec, sp).distance_squared
+    assert got == pytest.approx(per_row_distances_sq(f, sp, basis, [len(basis)])[0], **tol)
