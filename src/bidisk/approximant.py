@@ -367,7 +367,7 @@ def _self_check(a: sparse.csc_matrix, a00: complex, block: np.ndarray) -> np.nda
 
 def _prefix_solver(f: Poly2, exps: np.ndarray, space: SpaceSpec, sizes: Sequence[int]):
     """Solve the approximant problem on the leading size monomials of the
-    basis exps, for every size in the non-decreasing sizes.
+    basis exps, for every size in sizes.
 
     Returns the distances squared, one per size, and the coefficients c of
     the last size.  G is factored once: the banded Cholesky factor of a
