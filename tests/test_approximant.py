@@ -627,6 +627,15 @@ def test_self_check_trips_on_cholesky_route(monkeypatch):
         distance_scan(P("2 - z1 - z2"), iso(1.0), 20)
 
 
+@pytest.mark.parametrize("text, family, n_max", [("2 - z1 - z2", "total", 60), ("1 - z1*z2", "diagonal", 300)])
+def test_scan_over_several_blocks_matches_per_row_solves(text, family, n_max):
+    f, sp = P(text), iso(1.5)
+    assert n_max + 1 > 2 * _check_block_width(_operator(f, BasisSpec(family, n_max), sp))
+    rows = distance_scan(f, sp, n_max, family=family)
+    want = per_row_distances_sq(f, sp, basis_monomials(BasisSpec(family, n_max)), [r.basis_size for r in rows])
+    assert [r.distance_squared for r in rows] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("block", [0, 1])
 def test_self_check_names_the_perturbed_row(monkeypatch, block):
     # one middle row of the first or the second block of rows is perturbed;
