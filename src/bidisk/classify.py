@@ -35,7 +35,6 @@ from .errors import DegenerateInputError, NumericalError
 from .poly import Poly2, coeff_norm, poly2_to_json_dict
 from .spaces import iso
 from .zeroset import (
-    RESID_TOL,
     BidiskZeroReport,
     TorusZeroClass,
     bidisk_zero_search,
@@ -50,9 +49,9 @@ __all__ = [
     "corroborate",
 ]
 
-# heuristic minimum moduli below this multiple of the certification
-# tolerance cannot exclude an interior zero
-INCONCLUSIVE_FACTOR = 100.0
+# heuristic minimum moduli below this share of the coefficient norm, 100
+# times the search's certification tolerance, cannot exclude an interior zero
+NOISE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def predict(p: Poly2, alpha: float, torus: TorusZeroClass, bidisk: BidiskZeroRep
     """Predicted cyclicity of p in the iso(alpha) space."""
     if bidisk.kind == "zero_found":
         return Prediction("not_cyclic", "zero found inside the bidisk")
-    floor = max(INCONCLUSIVE_FACTOR * RESID_TOL, 1e-6) * coeff_norm(p)
+    floor = NOISE_FLOOR * coeff_norm(p)
     if bidisk.min_modulus <= floor:
         return Prediction(
             "not_applicable",

@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, 2 input that cannot be parsed or a file
 that cannot be read or written, 3 numerical failure, 4 inconclusive
-classification (the report is still written).
+classification (the report is still written) or a request that does not fit
+in memory.
 All floating point output is printed with 12 significant digits.
 """
 
@@ -38,7 +39,7 @@ from .errors import (
     ParseError,
 )
 from .expr import parse_polynomial, to_expression
-from .formatting import round_floats, sig12
+from .formatting import round_floats
 from .poly import Poly2, poly2_from_json_dict, poly2_to_json_dict
 from .prooflab import q_smoothness, recurrence_residuals
 from .spaces import SpaceSpec, aniso, compare_norms, iso
@@ -437,6 +438,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"refused: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except BrokenPipeError:
         # the reader closed the pipe (`bidisk ... | head`): nothing is left to

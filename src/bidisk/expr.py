@@ -9,7 +9,7 @@ Grammar (whitespace insensitive, juxtaposition multiplies):
     base   := number | "i" | "z1" | "z2" | "z" | "(" expr ")"
 
 "z" is an alias for "z1".  Exponents are plain nonnegative integers; an
-exponent (or product) pushing the degree above ``max_degree`` is rejected
+exponent (or product) pushing the degree above DEFAULT_MAX_DEGREE is rejected
 early so that a typo like ``z1^999999`` cannot allocate a huge grid.
 """
 
@@ -61,9 +61,8 @@ class _Tokens:
 
 
 class _Parser:
-    def __init__(self, text: str, max_degree: int):
+    def __init__(self, text: str):
         self.toks = _Tokens(text)
-        self.max_degree = max_degree
 
     def parse(self) -> Poly2:
         value = self.expr()
@@ -112,9 +111,9 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", epos)
             exponent = int(elit)
             m, n = value.bidegree
-            if max(m, n) * exponent > self.max_degree:
+            if max(m, n) * exponent > DEFAULT_MAX_DEGREE:
                 raise ParseError(
-                    f"exponent overflow: degree would exceed {self.max_degree}", epos
+                    f"exponent overflow: degree would exceed {DEFAULT_MAX_DEGREE}", epos
                 )
             value = value**exponent
         return value
@@ -140,16 +139,16 @@ class _Parser:
     def _checked_mul(self, a: Poly2, b: Poly2) -> Poly2:
         ma, na = a.bidegree
         mb, nb = b.bidegree
-        if ma + mb > self.max_degree or na + nb > self.max_degree:
-            raise ParseError(f"degree would exceed {self.max_degree}", self.toks.peek()[2])
+        if ma + mb > DEFAULT_MAX_DEGREE or na + nb > DEFAULT_MAX_DEGREE:
+            raise ParseError(f"degree would exceed {DEFAULT_MAX_DEGREE}", self.toks.peek()[2])
         return a * b
 
 
-def parse_polynomial(text: str, max_degree: int = DEFAULT_MAX_DEGREE) -> Poly2:
+def parse_polynomial(text: str) -> Poly2:
     """Parse expression text into a polynomial."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, max_degree).parse()
+    return _Parser(text).parse()
 
 
 def _coeff_text(v: complex) -> str:

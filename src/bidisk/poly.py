@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# q = lambda p is accepted when q - lambda p stays below this share of the
+# larger coefficient; the torus classification's "infinite" verdict rests on it
+PROPORTIONAL_TOL = 1e-8
+
+
 def _as_grid(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True)
     if arr.ndim != 2:
@@ -62,10 +67,7 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
 
     That needs care with numpy's complex multiply, which rounds twice
     instead of fusing when the product has one element and its operands
-    differ in ndim or it is written in place.  So z2 and z1 get the ndim
-    of the arrays they multiply, and the accumulator is updated in place,
-    sparing two temporaries per step on large grids, only when it holds
-    more than one point.
+    differ in ndim.  So z2 and z1 get the ndim of the arrays they multiply.
     """
     shape = np.broadcast_shapes(z1.shape, z2.shape)
     z2 = z2.reshape((1,) * (len(shape) - z2.ndim) + z2.shape)
@@ -77,13 +79,8 @@ def _horner(c: np.ndarray, z1: np.ndarray, z2: np.ndarray):
         rows = rows * lead + cols[l]
     acc = np.zeros(c.shape[:-2] + shape, dtype=np.complex128)
     z1 = z1.reshape((1,) * (acc.ndim - z1.ndim) + z1.shape)
-    if acc.size <= 1:
-        for k in range(rows.shape[0] - 1, -1, -1):
-            acc = acc * z1 + rows[k]
-        return acc
     for k in range(rows.shape[0] - 1, -1, -1):
-        np.multiply(acc, z1, out=acc)
-        np.add(acc, rows[k], out=acc)
+        acc = acc * z1 + rows[k]
     return acc
 
 
@@ -358,12 +355,13 @@ def coeff_norm(p) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(np.complex128)), e))
 
 
-def proportional(p: Poly2, q: Poly2, tol: float = 1e-8) -> Optional[complex]:
-    """Return lambda with q = lambda * p (within tol, relative), else None.
+def proportional(p: Poly2, q: Poly2) -> Optional[complex]:
+    """Return lambda with q = lambda * p (within PROPORTIONAL_TOL, relative),
+    else None.
 
     The scale is read off at p's largest coefficient; the match is accepted
-    when the worst deviation of q - lambda*p stays below tol times the
-    larger coefficient magnitude of the two sides.
+    when the worst deviation of q - lambda*p stays below PROPORTIONAL_TOL
+    times the larger coefficient magnitude of the two sides.
     """
     if p.is_zero or q.is_zero:
         raise ValueError("proportionality test requires nonzero polynomials")
@@ -373,7 +371,7 @@ def proportional(p: Poly2, q: Poly2, tol: float = 1e-8) -> Optional[complex]:
     anchor = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     lam = b[anchor] / a[anchor]
     scale = max(float(np.abs(b).max()), abs(lam) * float(np.abs(a).max()), 1e-300)
-    if float(np.abs(b - lam * a).max()) <= tol * scale:
+    if float(np.abs(b - lam * a).max()) <= PROPORTIONAL_TOL * scale:
         return complex(lam)
     return None
 

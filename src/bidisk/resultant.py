@@ -44,12 +44,6 @@ class ResultantDetail:
     def is_zero(self) -> bool:
         return self.max_coeff <= self.zero_threshold
 
-    @property
-    def near_threshold(self) -> bool:
-        return (
-            self.zero_threshold < self.max_coeff <= INCONCLUSIVE_BAND * self.zero_threshold
-        )
-
     def trimmed(self) -> Poly1:
         """The resultant with coefficients at most 1e-10 * max_coeff zeroed."""
         c = self.coeffs.copy()
@@ -79,6 +73,13 @@ def _sylvester_stack(pvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
 
 
 def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
+    """Res_{z2}(p, q) by interpolation, untrimmed, with its zero test.
+
+    Raises InconclusiveError when the largest coefficient lands above the
+    zero threshold but within INCONCLUSIVE_BAND of it, where neither
+    verdict would be trustworthy, or when the Sylvester matrices would take
+    more than STACK_BYTES.
+    """
     m1, n1 = p.bidegree
     m2, n2 = q.bidegree
     if n1 == 0 or n2 == 0:
@@ -105,28 +106,23 @@ def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
             f"resultant overflows the double range: its {nodes} Sylvester determinants "
             f"of size {n1 + n2} are not all finite"
         )
-    threshold = ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q)
-    return ResultantDetail(
-        coeffs=coeffs,
-        max_coeff=float(np.abs(coeffs).max()),
-        zero_threshold=float(threshold),
-    )
+    threshold = float(ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q))
+    max_coeff = float(np.abs(coeffs).max())
+    if threshold < max_coeff <= INCONCLUSIVE_BAND * threshold:
+        raise InconclusiveError(
+            f"resultant refused: its largest coefficient {max_coeff:.3e} sits within "
+            f"{INCONCLUSIVE_BAND:g}x of the zero threshold {threshold:.3e}"
+        )
+    return ResultantDetail(coeffs=coeffs, max_coeff=max_coeff, zero_threshold=threshold)
 
 
 def resultant_z2(p: Poly2, q: Poly2) -> Poly1:
     """Res_{z2}(p, q) as a polynomial in z1.
 
-    Returns the zero polynomial when the inputs share a z2-involving factor.
-    Raises InconclusiveError when the coefficients land within a decade of
-    the zero threshold, where neither verdict would be trustworthy, or when
-    the Sylvester matrices would take more than STACK_BYTES.
+    Returns the zero polynomial when the inputs share a z2-involving factor;
+    refuses as resultant_z2_detail does.
     """
     detail = resultant_z2_detail(p, q)
     if detail.is_zero:
         return Poly1.zero()
-    if detail.near_threshold:
-        raise InconclusiveError(
-            "resultant magnitude sits within 10x of the zero threshold "
-            f"(max {detail.max_coeff:.3e}, threshold {detail.zero_threshold:.3e})"
-        )
     return detail.trimmed()

@@ -48,10 +48,10 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, InconclusiveError
+from .errors import ConvergenceError, DegenerateInputError
 from .operators import reflect, slice_z1
 from .poly import Poly1, Poly2, _horner, _torus_samples, coeff_norm, proportional
-from .resultant import INCONCLUSIVE_BAND, resultant_z2_detail
+from .resultant import resultant_z2_detail
 from .rootfind import _significant, aberth_roots, roots_on_unit_circle
 
 __all__ = [
@@ -64,8 +64,7 @@ __all__ = [
 # Fixed tolerances: a certified verdict ("zero_found", a torus class) rests
 # on them, so they are not open to callers.  RESID_TOL, relative to the
 # coefficient norm, certifies a zero both on the torus and in the bidisk.
-# The circle root tolerances are rootfind's.
-PROPORTIONAL_TOL = 1e-8
+# The circle root tolerances are rootfind's, the reflection test's is poly's.
 RESID_TOL = 1e-8
 
 # The bidisk search: the polydisk of radius 1 - DELTA, at least ANGLES
@@ -186,7 +185,7 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
         return _univariate_torus(Poly1(core.coeffs[0, :]), "z2")
 
     mirror = reflect(core)
-    lam = proportional(core, mirror, PROPORTIONAL_TOL)
+    lam = proportional(core, mirror)
     if lam is not None:
         return TorusZeroClass("infinite", witness="proportional_reflection", witness_data=lam)
     if _torus_bounded_away(core):
@@ -195,11 +194,6 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     detail = resultant_z2_detail(core, mirror)
     if detail.is_zero:
         return TorusZeroClass("infinite", witness="vanishing_resultant")
-    if detail.near_threshold:
-        raise InconclusiveError(
-            "torus classification refused: resultant within "
-            f"{INCONCLUSIVE_BAND:.0f}x of its zero threshold"
-        )
     res = detail.trimmed()
     scale = coeff_norm(core)
     points: list[tuple[complex, complex]] = []
@@ -289,8 +283,8 @@ def _roots(c: np.ndarray) -> np.ndarray:
 _DAMPING = 0.5 ** np.arange(20)
 
 
-def _torus_descent(c: np.ndarray, rmax: float, theta: np.ndarray) -> np.ndarray:
-    """Damped Gauss-Newton on |p| over the torus of radius rmax, in the
+def _torus_descent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Damped Gauss-Newton on |p| over the torus of radius 1 - DELTA, in the
     angles theta (starts x 2) of every start at once.  Returns |p| at the
     final points.
 
@@ -303,6 +297,7 @@ def _torus_descent(c: np.ndarray, rmax: float, theta: np.ndarray) -> np.ndarray:
     m, n = c.shape[0] - 1, c.shape[1] - 1
     p = Poly2(c)
     stack = np.stack([c, p.derivative(1).padded(m, n), p.derivative(2).padded(m, n)])
+    rmax = 1.0 - DELTA
 
     def at(angles):
         z = rmax * np.exp(1j * angles)
@@ -367,8 +362,9 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
         w = vals.argmin()
         return BidiskZeroReport("zero_found", (complex(z1[w]), complex(z2[w])), float(vals[w] * scale), size)
 
-    grid = np.abs(_torus_samples(shrunk, size)).ravel()
+    # the torus values: the fibres' z2 transform, back in (z1, z2) order
+    grid = np.abs(np.fft.ifft(fibres, n=size, axis=0, norm="forward").T).ravel()
     starts = np.argpartition(grid, 7)[:8]
     theta = 2.0 * np.pi * np.stack([starts // size, starts % size], axis=-1) / size
-    best = min(_torus_descent(c, rmax, theta).min(), vals.min(initial=np.inf))
+    best = min(_torus_descent(c, theta).min(), vals.min(initial=np.inf))
     return BidiskZeroReport("none_found_heuristic", None, float(best * scale), size)

@@ -15,7 +15,7 @@ import pytest
 
 from bidisk import closed_form_distance, parse_polynomial, poly2_to_json_dict
 from bidisk.cli import main
-from bidisk.errors import InconclusiveError, NumericalError
+from bidisk.errors import NumericalError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -290,15 +290,13 @@ def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message
 
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
-    def refuse(*a, **k):
-        raise InconclusiveError("borderline resultant")
-
-    monkeypatch.setattr("bidisk.cli.torus_zeros", refuse)
+    # a zero threshold of 1.2 puts the resultant's max 4 within 10x of it
+    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
     code, out, _ = run(capsys, "zeros", "-p", "2 - z1 - z2")
     assert code == 4
     doc = json.loads(out)
     assert doc["torus"] is None
-    assert "borderline" in doc["inconclusive"]
+    assert "4.000e+00" in doc["inconclusive"] and "1.200e+00" in doc["inconclusive"]
     assert doc["bidisk"]["bidisk"] == "none_found_heuristic"
 
 
@@ -544,6 +542,18 @@ def test_exit_numerical_failure(capsys, monkeypatch):
     code, _, err = run(capsys, "opa", "-p", "1 - z1", "--alpha", "1", "--nmax", "1")
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_memory_error_is_refused_without_traceback(capsys, monkeypatch):
+    # numpy raises MemoryError when a scan's arrays cannot be allocated
+    def too_large(*a, **k):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+    monkeypatch.setattr("bidisk.cli.distance_scan", too_large)
+    code, out, err = run(capsys, "scan", "-p", "1 - z1", "--alpha", "1", "--nmax", "100000")
+    assert code == 4
+    assert out == ""
+    assert err == "refused: Unable to allocate 37.3 GiB for an array\n"
 
 
 @pytest.mark.parametrize("command", ["opa", "scan", "classify"])

@@ -77,8 +77,14 @@ def test_degree_overflow_guard():
         parse_polynomial("z1^100000")
     with pytest.raises(ParseError):
         parse_polynomial("(z1^200)^200")
-    # right at the default cap is fine
+    # right at the cap is fine
     parse_polynomial("z1^256")
+
+
+def test_parse_rejects_degree_cap_keyword():
+    # the cap is fixed at DEFAULT_MAX_DEGREE
+    with pytest.raises(TypeError, match="max_degree"):
+        parse_polynomial("z1^300", max_degree=400)
 
 
 def test_serialize_round_trip_random(rng):

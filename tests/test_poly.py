@@ -142,7 +142,7 @@ def test_evaluate_product_grid_matches_reference_exactly(rng):
 
 def test_evaluate_search_chunk_matches_reference_exactly(rng):
     # the interior search's coarse chunk: 64 z1 points against 1024 z2
-    # points, at bidegree 12, where the accumulator is updated in place
+    # points, at bidegree 12
     c = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))
     z1, _ = random_bidisk_points(rng, 64)
     _, z2 = random_bidisk_points(rng, 1024)
@@ -247,6 +247,12 @@ def test_proportional_complex_scale(rng):
     p = random_poly(rng, max_deg=4)
     lam = proportional(p, 3j * p)
     assert lam == pytest.approx(3j)
+
+
+def test_proportional_rejects_tolerance_keyword():
+    # the tolerance is fixed at PROPORTIONAL_TOL
+    with pytest.raises(TypeError, match="tol"):
+        proportional(P("1 - z1*z2"), P("z1*z2 - 1"), tol=1.0)
 
 
 def test_terms_graded_order():

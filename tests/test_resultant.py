@@ -104,6 +104,28 @@ def test_resultant_rejects_threshold_keyword(fn):
         fn(P("2 - z1 - z2"), P("2*z1*z2 - z1 - z2"), zero_rel_eps=1.0)
 
 
+def test_near_threshold_is_refused_once_for_every_caller(monkeypatch):
+    # with ZERO_REL_EPS = 0.2 the resultant of 2 - z1 - z2 and its
+    # reflection, 2 - 4 z1 + 2 z1^2, has max 4 against a threshold of 1.2
+    from bidisk.errors import InconclusiveError
+    from bidisk.operators import reflect
+    from bidisk.zeroset import torus_zeros
+
+    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    p = P("2 - z1 - z2")
+    messages = set()
+    for call in (
+        lambda: resultant_z2(p, reflect(p)),
+        lambda: resultant_z2_detail(p, reflect(p)),
+        lambda: torus_zeros(p),
+    ):
+        with pytest.raises(InconclusiveError) as info:
+            call()
+        messages.add(str(info.value))
+    (message,) = messages
+    assert "4.000e+00" in message and "1.200e+00" in message
+
+
 def test_resultant_refuses_a_stack_over_budget():
     # 131073 Sylvester matrices of size 512: 512 GiB
     from bidisk.errors import InconclusiveError
