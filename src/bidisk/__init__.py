@@ -6,121 +6,42 @@ of two-variable polynomials, and a cyclicity classifier that checks the
 predicted verdict against the measured distance decay.  A small lab module
 makes the alpha = 2 threshold mechanism observable through coefficient
 recurrences and quotient spectra.
+
+The public names are the union of the modules' ``__all__`` lists.
 """
 
-from .approximant import (
-    ApproximantResult,
-    BasisSpec,
-    DecayVerdict,
-    ScanRow,
-    basis_monomials,
-    closed_form_distance,
-    decay_diagnostic,
-    distance_scan,
-    evaluation_bound_certificate,
-    optimal_approximant,
+from . import (
+    approximant,
+    classify,
+    errors,
+    expr,
+    operators,
+    poly,
+    prooflab,
+    resultant,
+    rootfind,
+    spaces,
+    zeroset,
 )
-from .classify import ClassificationReport, Prediction, corroborate, predict, product_rule
-from .errors import (
-    BidiskError,
-    ConvergenceError,
-    DegenerateInputError,
-    InconclusiveError,
-    NumericalError,
-    ParseError,
-)
-from .expr import parse_polynomial, to_expression
-from .operators import diagonal, reflect, rotate, slice_z1
-from .poly import (
-    Poly1,
-    Poly2,
-    coeff_norm,
-    poly2_from_json_dict,
-    poly2_to_json_dict,
-    proportional,
-)
-from .prooflab import (
-    QExperimentReport,
-    RecurrenceResidualGrid,
-    build_numerator_g,
-    q_smoothness,
-    recurrence_residuals,
-)
-from .resultant import ResultantDetail, resultant_z2, resultant_z2_detail
-from .rootfind import aberth_roots, roots_on_unit_circle
-from .spaces import (
-    NormTriple,
-    SpaceSpec,
-    aniso,
-    compare_norms,
-    inner_product,
-    iso,
-    norm_squared,
-    weight_grid,
-)
-from .zeroset import (
-    BidiskZeroReport,
-    TorusZeroClass,
-    bidisk_zero_search,
-    torus_zeros,
-)
+from .approximant import *
+from .classify import *
+from .errors import *
+from .expr import *
+from .operators import *
+from .poly import *
+from .prooflab import *
+from .resultant import *
+from .rootfind import *
+from .spaces import *
+from .zeroset import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproximantResult",
-    "BasisSpec",
-    "BidiskError",
-    "BidiskZeroReport",
-    "ClassificationReport",
-    "ConvergenceError",
-    "DecayVerdict",
-    "DegenerateInputError",
-    "InconclusiveError",
-    "NormTriple",
-    "NumericalError",
-    "ParseError",
-    "Poly1",
-    "Poly2",
-    "Prediction",
-    "QExperimentReport",
-    "RecurrenceResidualGrid",
-    "ResultantDetail",
-    "ScanRow",
-    "SpaceSpec",
-    "TorusZeroClass",
-    "aberth_roots",
-    "aniso",
-    "basis_monomials",
-    "bidisk_zero_search",
-    "build_numerator_g",
-    "closed_form_distance",
-    "coeff_norm",
-    "compare_norms",
-    "corroborate",
-    "decay_diagnostic",
-    "diagonal",
-    "distance_scan",
-    "evaluation_bound_certificate",
-    "inner_product",
-    "iso",
-    "norm_squared",
-    "optimal_approximant",
-    "parse_polynomial",
-    "poly2_from_json_dict",
-    "poly2_to_json_dict",
-    "predict",
-    "product_rule",
-    "proportional",
-    "q_smoothness",
-    "recurrence_residuals",
-    "reflect",
-    "resultant_z2",
-    "resultant_z2_detail",
-    "roots_on_unit_circle",
-    "rotate",
-    "slice_z1",
-    "to_expression",
-    "torus_zeros",
-    "weight_grid",
-]
+__all__ = sorted(
+    name
+    for module in (
+        approximant, classify, errors, expr, operators, poly,
+        prooflab, resultant, rootfind, spaces, zeroset,
+    )
+    for name in module.__all__
+)

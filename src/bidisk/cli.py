@@ -10,10 +10,11 @@ Subcommands:
 * ``recurrence``  coefficient recurrence residual grid as CSV
 * ``qsmooth``     quotient smoothness experiment as JSON
 
-Exit codes: 0 success, 1 usage, 2 input that cannot be parsed or a file
-that cannot be read or written, 3 numerical failure, 4 inconclusive
-classification (the report is still written) or a request that does not fit
-in memory.
+Exit codes: 0 success, 1 usage (no polynomial, or more than one of -p,
+--poly-json and --factors), 2 input that cannot be parsed (malformed
+polynomial JSON too) or a file that cannot be read or written, 3 numerical
+failure, 4 inconclusive classification (the report is still written) or a
+request that does not fit in memory.
 All floating point output is printed with 12 significant digits.
 """
 
@@ -39,11 +40,10 @@ from .errors import (
     ParseError,
 )
 from .expr import parse_polynomial, to_expression
-from .formatting import round_floats
 from .poly import Poly2, poly2_from_json_dict, poly2_to_json_dict
 from .prooflab import q_smoothness, recurrence_residuals
-from .spaces import SpaceSpec, aniso, compare_norms, iso
-from .zeroset import bidisk_zero_search, torus_zeros
+from .spaces import SpaceSpec, compare_norms
+from .zeroset import BidiskZeroReport, TorusZeroClass, bidisk_zero_search, torus_zeros
 
 __all__ = ["main"]
 
@@ -72,12 +72,21 @@ def _parse_complex(text: str) -> complex:
         raise ParseError(f"cannot read complex number from {text!r}") from None
 
 
-def _load_poly(args) -> Poly2:
-    if getattr(args, "poly", None) and getattr(args, "poly_json", None):
+def _load_polys(args, factors: Optional[str] = None) -> list[Poly2]:
+    """The polynomials named by exactly one source: -p, --poly-json or the
+    semicolon-separated ``factors`` (classify's --factors)."""
+    if args.poly and args.poly_json:
         raise _UsageError("give either --poly or --poly-json, not both")
-    if getattr(args, "poly", None):
-        return parse_polynomial(args.poly)
-    if getattr(args, "poly_json", None):
+    if factors and (args.poly or args.poly_json):
+        raise _UsageError("give either --factors or a polynomial, not both")
+    if factors:
+        exprs = [e.strip() for e in factors.split(";") if e.strip()]
+        if not exprs:
+            raise _UsageError("--factors needs at least one expression")
+        return [parse_polynomial(e) for e in exprs]
+    if args.poly:
+        return [parse_polynomial(args.poly)]
+    if args.poly_json:
         try:
             with open(args.poly_json, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -85,7 +94,7 @@ def _load_poly(args) -> Poly2:
             raise ParseError(f"cannot read {args.poly_json}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON in {args.poly_json}: {exc}") from None
-        return poly2_from_json_dict(data)
+        return [poly2_from_json_dict(data)]
     raise _UsageError("a polynomial is required (--poly or --poly-json)")
 
 
@@ -131,12 +140,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.flush()
 
 
+def _round_floats(obj):
+    """obj with every float in it rounded to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(_fmt(obj))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
 def _emit_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(round_floats(obj), indent=2, sort_keys=True), out)
-
-
-def _space(kind: str, alpha: float) -> SpaceSpec:
-    return iso(alpha) if kind == "iso" else aniso(alpha)
+    _emit(json.dumps(_round_floats(obj), indent=2, sort_keys=True), out)
 
 
 def _basis(args) -> BasisSpec:
@@ -153,7 +169,7 @@ def _basis(args) -> BasisSpec:
 
 
 def _cmd_norm(args) -> int:
-    f = _load_poly(args)
+    f = _load_polys(args)[0]
     lines = []
     for alpha in _parse_alphas(args.alpha):
         t = compare_norms(f, alpha)
@@ -165,9 +181,9 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_opa(args) -> int:
-    f = _load_poly(args)
+    f = _load_polys(args)[0]
     alpha = _single_alpha(args)
-    space = _space(args.space, alpha)
+    space = SpaceSpec(args.space, alpha)
     result = optimal_approximant(f, _basis(args), space)
     report = {
         "polynomial": poly2_to_json_dict(f),
@@ -189,13 +205,13 @@ def _cmd_opa(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    f = _load_poly(args)
+    f = _load_polys(args)[0]
     alphas = sorted(_parse_alphas(args.alpha))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "n", "basis_size", "distance_sq", "distance"])
     for alpha in alphas:
-        space = _space(args.space, alpha)
+        space = SpaceSpec(args.space, alpha)
         for row in distance_scan(f, space, args.nmax, family=args.family):
             writer.writerow(
                 [
@@ -210,42 +226,39 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_zeros(args) -> int:
-    f = _load_poly(args)
+def _zero_sets(f: Poly2) -> tuple[dict, Optional[TorusZeroClass], BidiskZeroReport]:
+    """f's torus classification and bidisk search with their JSON report; a
+    refused classification is None, with its reason under "inconclusive"."""
     report: dict = {"polynomial": poly2_to_json_dict(f)}
-    code = 0
     try:
-        report["torus"] = torus_zeros(f).to_json_dict()
+        torus = torus_zeros(f)
+        report["torus"] = torus.to_json_dict()
     except InconclusiveError as exc:
-        report["torus"] = None
+        torus = report["torus"] = None
         report["inconclusive"] = str(exc)
-        code = 4
-    report["bidisk"] = bidisk_zero_search(f).to_json_dict()
+    bidisk = bidisk_zero_search(f)
+    report["bidisk"] = bidisk.to_json_dict()
+    return report, torus, bidisk
+
+
+def _cmd_zeros(args) -> int:
+    report, torus, _ = _zero_sets(_load_polys(args)[0])
     _emit_json(report, args.out)
-    return code
+    return 4 if torus is None else 0
 
 
 def _cmd_classify(args) -> int:
     alpha = _single_alpha(args)
+    polys = _load_polys(args, args.factors)
 
     if args.factors:
-        exprs = [e.strip() for e in args.factors.split(";") if e.strip()]
-        if not exprs:
-            raise _UsageError("--factors needs at least one expression")
         factor_reports = []
         predictions = []
-        for text in exprs:
-            poly = parse_polynomial(text)
-            bidisk = bidisk_zero_search(poly)
-            try:
-                torus = torus_zeros(poly)
-            except InconclusiveError as exc:
-                factor_reports.append(
-                    {
-                        "polynomial": poly2_to_json_dict(poly),
-                        "inconclusive": str(exc),
-                    }
-                )
+        for poly in polys:
+            report, torus, bidisk = _zero_sets(poly)
+            if torus is None:
+                # a refused factor is reported by name and reason, and ends the run
+                factor_reports.append({k: report[k] for k in ("polynomial", "inconclusive")})
                 _emit_json(
                     {"alpha": alpha, "factors": factor_reports, "predicted": None},
                     args.out,
@@ -253,15 +266,7 @@ def _cmd_classify(args) -> int:
                 return 4
             pred = predict(poly, alpha, torus, bidisk)
             predictions.append(pred)
-            factor_reports.append(
-                {
-                    "polynomial": poly2_to_json_dict(poly),
-                    "torus": torus.to_json_dict(),
-                    "bidisk": bidisk.to_json_dict(),
-                    "predicted": pred.verdict,
-                    "reason": pred.reason,
-                }
-            )
+            factor_reports.append({**report, "predicted": pred.verdict, "reason": pred.reason})
         combined = product_rule(predictions)
         _emit_json(
             {
@@ -274,7 +279,7 @@ def _cmd_classify(args) -> int:
         )
         return 4 if combined.verdict == "not_applicable" else 0
 
-    f = _load_poly(args)
+    f = polys[0]
     try:
         report = corroborate(f, alpha, n_max=args.nmax, family=args.family)
     except InconclusiveError as exc:
@@ -292,7 +297,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_recurrence(args) -> int:
-    g = _load_poly(args)
+    g = _load_polys(args)[0]
     grid = recurrence_residuals(g, args.kmax, args.lmax)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -317,7 +322,7 @@ def _parse_zero_list(text: str) -> list[tuple[complex, complex]]:
 
 
 def _cmd_qsmooth(args) -> int:
-    p = _load_poly(args)
+    p = _load_polys(args)[0]
     zeros = _parse_zero_list(args.zeros) if args.zeros else []
     report = q_smoothness(p, zeros, args.exponent, grid_size=args.grid)
     if args.qhat_csv:
@@ -331,47 +336,43 @@ def _cmd_qsmooth(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_poly_args(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, func, help: str, out_help: Optional[str] = None):
+    """A subparser with the options every subcommand takes: the polynomial
+    sources -p and --poly-json, and --out."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("-p", "--poly", help="polynomial expression in z1, z2")
     p.add_argument("--poly-json", help="path to a polynomial JSON file")
+    p.add_argument("--out", help=out_help)
+    p.set_defaults(func=func)
+    return p
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bidisk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("norm", help="squared norms in the three comparison spaces")
-    _add_poly_args(p)
+    p = _subcommand(
+        sub, "norm", _cmd_norm, "squared norms in the three comparison spaces",
+        out_help="write output to this path instead of stdout",
+    )
     p.add_argument("--alpha", required=True, help="single value or comma list")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("opa", help="solve one optimal approximant")
-    _add_poly_args(p)
+    p = _subcommand(sub, "opa", _cmd_opa, "solve one optimal approximant")
     p.add_argument("--alpha", required=True)
     p.add_argument("--nmax", type=int, required=True, help="basis degree bound")
     p.add_argument("--family", choices=["total", "box", "diagonal"], default="total")
     p.add_argument("--n2", type=int, help="second bound for the box family")
     p.add_argument("--space", choices=["iso", "aniso"], default="iso")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_opa)
 
-    p = sub.add_parser("scan", help="distance decay CSV over alpha x n")
-    _add_poly_args(p)
+    p = _subcommand(sub, "scan", _cmd_scan, "distance decay CSV over alpha x n")
     p.add_argument("--alpha", required=True, help="single value or comma list")
     p.add_argument("--nmax", type=int, default=60)
     p.add_argument("--family", choices=["total", "diagonal"], default="total")
     p.add_argument("--space", choices=["iso", "aniso"], default="iso")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("zeros", help="torus classification and bidisk search")
-    _add_poly_args(p)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_zeros)
+    _subcommand(sub, "zeros", _cmd_zeros, "torus classification and bidisk search")
 
-    p = sub.add_parser("classify", help="full cyclicity report")
-    _add_poly_args(p)
+    p = _subcommand(sub, "classify", _cmd_classify, "full cyclicity report")
     p.add_argument("--alpha", required=True)
     p.add_argument("--nmax", type=int, default=40)
     p.add_argument("--family", choices=["total", "diagonal"], default="total")
@@ -379,18 +380,12 @@ def _build_parser() -> _Parser:
         "--factors",
         help="semicolon-separated factor expressions; classify the product",
     )
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("recurrence", help="coefficient recurrence residual CSV")
-    _add_poly_args(p)
+    p = _subcommand(sub, "recurrence", _cmd_recurrence, "coefficient recurrence residual CSV")
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_recurrence)
 
-    p = sub.add_parser("qsmooth", help="quotient smoothness experiment")
-    _add_poly_args(p)
+    p = _subcommand(sub, "qsmooth", _cmd_qsmooth, "quotient smoothness experiment")
     p.add_argument(
         "--zeros",
         help="declared torus zeros, e.g. '1,1' or '1,1;-1,-1'",
@@ -398,8 +393,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--exponent", type=int, required=True, help="numerator exponent N")
     p.add_argument("--grid", type=int, default=512, help="FFT grid size (power of two)")
     p.add_argument("--qhat-csv", help="also dump DFT magnitudes to this CSV")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_qsmooth)
 
     return parser
 

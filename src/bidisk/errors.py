@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "BidiskError",
+    "ParseError",
+    "DegenerateInputError",
+    "ConvergenceError",
+    "NumericalError",
+    "InconclusiveError",
+]
+
 
 class BidiskError(Exception):
     """Base class for errors raised by this package."""

@@ -392,19 +392,46 @@ def poly2_to_json_dict(p: Poly2) -> dict:
     }
 
 
+def _malformed(what: str) -> DegenerateInputError:
+    return DegenerateInputError(f"malformed polynomial JSON: {what}")
+
+
+def _json_index(value, name: str) -> int:
+    """A nonnegative integer field; 2.0 reads as 2, while 0.5 and true are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _malformed(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _json_number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the double range
+            pass
+    raise _malformed(f"{name} must be a finite number, got {value!r}")
+
+
 def poly2_from_json_dict(data: dict) -> Poly2:
-    try:
-        m, n = (int(x) for x in data["bidegree"])
-        entries = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DegenerateInputError(f"malformed polynomial JSON: {exc}") from exc
+    """The polynomial of the JSON form above.  Any other shape, a missing
+    field or a field of the wrong type raises DegenerateInputError."""
+    if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+        raise _malformed('expected an object with "bidegree" and a "coeffs" list')
+    bidegree = data.get("bidegree")
+    if not isinstance(bidegree, list) or len(bidegree) != 2:
+        raise _malformed(f"bidegree must be a list [m, n], got {bidegree!r}")
+    m, n = (_json_index(x, "bidegree") for x in bidegree)
     grid = np.zeros((m + 1, n + 1), dtype=np.complex128)
-    for e in entries:
-        k, l = int(e["k"]), int(e["l"])
-        if not (0 <= k <= m and 0 <= l <= n):
+    for e in data["coeffs"]:
+        if not isinstance(e, dict) or not {"k", "l", "re"} <= e.keys():
+            raise _malformed(f'a coefficient needs "k", "l" and "re", got {e!r}')
+        k, l = _json_index(e["k"], "k"), _json_index(e["l"], "l")
+        if not (k <= m and l <= n):
             raise DegenerateInputError(
                 f"coefficient index ({k},{l}) outside bidegree ({m},{n})"
             )
-        grid[k, l] = complex(float(e["re"]), float(e.get("im", 0.0)))
+        re, im = _json_number(e["re"], "re"), _json_number(e.get("im", 0.0), "im")
+        grid[k, l] = complex(re, im)
     return Poly2(grid)
-

@@ -4,6 +4,20 @@ import pytest
 from bidisk.poly import Poly2
 
 
+# polynomial JSON files that must be refused as malformed input
+MALFORMED_POLY_JSON = {
+    "missing_k": '{"bidegree": [1, 1], "coeffs": [{"l": 0, "re": 1}]}',
+    "missing_re": '{"bidegree": [1, 1], "coeffs": [{"k": 0, "l": 0}]}',
+    "coeffs_not_a_list": '{"bidegree": [1, 1], "coeffs": 5}',
+    "entry_not_an_object": '{"bidegree": [1, 1], "coeffs": [null]}',
+    "negative_bidegree": '{"bidegree": [-1, 1], "coeffs": []}',
+    "fractional_index": '{"bidegree": [1, 1], "coeffs": [{"k": 0.5, "l": 0, "re": 1}]}',
+    "bidegree_not_a_pair": '{"bidegree": [1], "coeffs": []}',
+    "re_not_a_number": '{"bidegree": [1, 1], "coeffs": [{"k": 0, "l": 0, "re": "1"}]}',
+    "re_past_double_range": '{"bidegree": [1, 1], "coeffs": [{"k": 0, "l": 0, "re": 1%s}]}' % ("0" * 400),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -16,6 +16,7 @@ import pytest
 from bidisk import closed_form_distance, parse_polynomial, poly2_to_json_dict
 from bidisk.cli import main
 from bidisk.errors import NumericalError
+from conftest import MALFORMED_POLY_JSON
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -300,6 +301,12 @@ def test_zeros_inconclusive_exit4(capsys, monkeypatch):
     assert doc["bidisk"]["bidisk"] == "none_found_heuristic"
 
 
+def test_zeros_vanishing_resultant(capsys):
+    code, out, _ = run(capsys, "zeros", "-p", "(1 - z1*z2)*(3 - z1 - z2)")
+    assert code == 0
+    assert json.loads(out)["torus"] == {"torus": "infinite", "witness": "vanishing_resultant"}
+
+
 # ------------------------------------------------------------- classify
 
 
@@ -377,6 +384,22 @@ def test_classify_factors_inconclusive_exit4(capsys):
     assert code == 4
     doc = json.loads(out)
     assert doc["predicted"] == "not_applicable"
+
+
+def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
+    # as in test_zeros_inconclusive_exit4: the first factor's resultant is
+    # refused, which ends the run before the second factor
+    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    code, out, _ = run(
+        capsys, "classify", "--factors", "2 - z1 - z2; 3 - z1 - z2", "--alpha", "1"
+    )
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["predicted"] is None
+    [factor] = doc["factors"]
+    assert set(factor) == {"polynomial", "inconclusive"}
+    assert factor["polynomial"] == poly2_to_json_dict(parse_polynomial("2 - z1 - z2"))
+    assert "4.000e+00" in factor["inconclusive"] and "1.200e+00" in factor["inconclusive"]
 
 
 # ----------------------------------------------------- recurrence, qsmooth
@@ -516,6 +539,29 @@ def test_exit_usage_poly_conflict(capsys, tmp_path):
     )
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize("source", ["-p", "--poly-json"])
+def test_exit_usage_poly_with_factors(capsys, tmp_path, source):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(poly2_to_json_dict(parse_polynomial("2 - z1"))))
+    value = "2 - z1" if source == "-p" else str(path)
+    code, out, err = run(
+        capsys, "classify", source, value, "--factors", "1 - z1; 1 - z2", "--alpha", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: give either --factors or a polynomial, not both\n"
+
+
+@pytest.mark.parametrize("case", MALFORMED_POLY_JSON)
+def test_exit_malformed_poly_json(capsys, tmp_path, case):
+    path = tmp_path / "p.json"
+    path.write_text(MALFORMED_POLY_JSON[case])
+    code, out, err = run(capsys, "norm", "--poly-json", str(path), "--alpha", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: malformed polynomial JSON: ")
 
 
 def test_exit_parse_error(capsys):

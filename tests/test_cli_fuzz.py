@@ -1,8 +1,8 @@
 """Fuzzed command lines: every argv ends in a documented exit code (0-4).
 
 Argument vectors are built across all seven subcommands from small values,
-junk tokens, the removed override flags, negative and comma-list alphas and
-unwritable output paths.  No exception may escape ``main``; a SystemExit
+junk tokens, the removed override flags, negative and comma-list alphas,
+malformed polynomial JSON files and unwritable output paths.  No exception may escape ``main``; a SystemExit
 from ``--help`` counts as its code.  Sizes are bounded so that one run
 stays fast.
 """
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidisk.cli import main
+from conftest import MALFORMED_POLY_JSON
 
 POLYS = [
     "1", "0", "z1", "2 - z1 - z2", "3 - z1 - z2", "1 - z1*z2", "(1 - z1)^2",
@@ -68,8 +69,16 @@ def paths(tmp_path_factory):
     return [str(base / "out.txt"), str(base / "missing" / "out.txt"), str(base)]
 
 
+@pytest.fixture(scope="module")
+def poly_jsons(tmp_path_factory):
+    base = tmp_path_factory.mktemp("poly_json")
+    for name, text in MALFORMED_POLY_JSON.items():
+        (base / f"{name}.json").write_text(text)
+    return [str(base / f"{name}.json") for name in MALFORMED_POLY_JSON]
+
+
 @st.composite
-def argvs(draw, paths):
+def argvs(draw, paths, poly_jsons):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     options = COMMANDS[command]
     argv = [command]
@@ -78,6 +87,8 @@ def argvs(draw, paths):
         if draw(st.integers(0, 4)) == 0:
             continue
         value = draw(st.sampled_from(options[flag] or paths))
+        if flag == "-p" and draw(st.integers(0, 3)) == 0:
+            flag, value = "--poly-json", draw(st.sampled_from(poly_jsons))
         if flag == "--alpha" and draw(st.booleans()):
             argv.append(f"--alpha={value}")
         else:
@@ -90,8 +101,8 @@ def argvs(draw, paths):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_every_argv_ends_in_a_documented_exit_code(paths, data):
-    argv = data.draw(argvs(paths))
+def test_every_argv_ends_in_a_documented_exit_code(paths, poly_jsons, data):
+    argv = data.draw(argvs(paths, poly_jsons))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)

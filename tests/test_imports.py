@@ -92,3 +92,25 @@ def test_classify_loads_the_certificate_module(tmp_path):
     assert code == 0
     assert "scipy.special" in modules
     assert "scipy.optimize" not in modules
+
+
+
+def test_package_exports_each_module_name_once():
+    # the package's names are the union of its modules' __all__ lists (the
+    # command line module aside); a name exported by two modules would let
+    # one shadow the other
+    import importlib
+    import pkgutil
+
+    import bidisk
+
+    exported = {}
+    for info in pkgutil.iter_modules(bidisk.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"bidisk.{info.name}")
+        for name in module.__all__:
+            assert name not in exported, (name, exported.get(name), info.name)
+            exported[name] = info.name
+            assert getattr(bidisk, name) is getattr(module, name)
+    assert bidisk.__all__ == sorted(exported)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from bidisk.poly import (
     poly2_to_json_dict,
     proportional,
 )
-from conftest import random_bidisk_points, random_poly
+from conftest import MALFORMED_POLY_JSON, random_bidisk_points, random_poly
 
 
 def P(text):
@@ -283,3 +284,14 @@ def test_json_rejects_out_of_range():
         poly2_from_json_dict(
             {"bidegree": [1, 1], "coeffs": [{"k": 5, "l": 0, "re": 1.0, "im": 0.0}]}
         )
+
+
+@pytest.mark.parametrize("case", MALFORMED_POLY_JSON)
+def test_json_rejects_malformed(case):
+    with pytest.raises(DegenerateInputError, match="^malformed polynomial JSON: "):
+        poly2_from_json_dict(json.loads(MALFORMED_POLY_JSON[case]))
+
+
+def test_json_reads_integral_floats_and_high_degree():
+    d = {"bidegree": [2.0, 300], "coeffs": [{"k": 2.0, "l": 300, "re": 1, "im": -1}]}
+    assert poly2_from_json_dict(d) == Poly2.monomial(2, 300, 1 - 1j)

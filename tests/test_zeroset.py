@@ -90,6 +90,16 @@ def test_torus_line_factor():
     assert abs(value - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("text", ["(1 - z1*z2)*(3 - z1 - z2)", "(2 - z1 - z2)*(1 - z1*z2)"])
+def test_torus_vanishing_resultant(text):
+    # p shares the factor 1 - z1 z2 with its reflection without being
+    # proportional to it, so Res_z2(p, p~) vanishes identically
+    assert torus_zeros(P(text)).to_json_dict() == {
+        "torus": "infinite",
+        "witness": "vanishing_resultant",
+    }
+
+
 def test_torus_monomial_factors_stripped():
     assert torus_zeros(P("z1^2 z2")).kind == "empty"
     cls = torus_zeros(P("z1^2 z2 (2 - z1 - z2)"))
