@@ -74,19 +74,21 @@ def _parse_complex(text: str) -> complex:
 
 def _load_polys(args, factors: Optional[str] = None) -> list[Poly2]:
     """The polynomials named by exactly one source: -p, --poly-json or the
-    semicolon-separated ``factors`` (classify's --factors)."""
-    if args.poly and args.poly_json:
+    semicolon-separated ``factors`` (classify's --factors).  A source given
+    an empty value counts as given."""
+    poly, poly_json = args.poly is not None, args.poly_json is not None
+    if poly and poly_json:
         raise _UsageError("give either --poly or --poly-json, not both")
-    if factors and (args.poly or args.poly_json):
+    if factors is not None and (poly or poly_json):
         raise _UsageError("give either --factors or a polynomial, not both")
-    if factors:
+    if factors is not None:
         exprs = [e.strip() for e in factors.split(";") if e.strip()]
         if not exprs:
             raise _UsageError("--factors needs at least one expression")
         return [parse_polynomial(e) for e in exprs]
-    if args.poly:
+    if poly:
         return [parse_polynomial(args.poly)]
-    if args.poly_json:
+    if poly_json:
         try:
             with open(args.poly_json, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -251,7 +253,7 @@ def _cmd_classify(args) -> int:
     alpha = _single_alpha(args)
     polys = _load_polys(args, args.factors)
 
-    if args.factors:
+    if args.factors is not None:
         factor_reports = []
         predictions = []
         for poly in polys:

@@ -541,14 +541,15 @@ def test_exit_usage_poly_conflict(capsys, tmp_path):
     assert "not both" in err
 
 
-@pytest.mark.parametrize("source", ["-p", "--poly-json"])
-def test_exit_usage_poly_with_factors(capsys, tmp_path, source):
+@pytest.mark.parametrize(
+    "source, factors", [("-p", "1 - z1; 1 - z2"), ("--poly-json", "1 - z1; 1 - z2"), ("-p", "")]
+)
+def test_exit_usage_poly_with_factors(capsys, tmp_path, source, factors):
+    # a second source is refused even when one of them is empty
     path = tmp_path / "p.json"
     path.write_text(json.dumps(poly2_to_json_dict(parse_polynomial("2 - z1"))))
     value = "2 - z1" if source == "-p" else str(path)
-    code, out, err = run(
-        capsys, "classify", source, value, "--factors", "1 - z1; 1 - z2", "--alpha", "1"
-    )
+    code, out, err = run(capsys, "classify", source, value, "--factors", factors, "--alpha", "1")
     assert code == 1
     assert out == ""
     assert err == "usage error: give either --factors or a polynomial, not both\n"
