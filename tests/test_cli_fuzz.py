@@ -2,9 +2,9 @@
 
 Argument vectors are built across all seven subcommands from small values,
 junk tokens, the removed override flags, negative and comma-list alphas,
-malformed polynomial JSON files and unwritable output paths.  No exception may escape ``main``; a SystemExit
-from ``--help`` counts as its code.  Sizes are bounded so that one run
-stays fast.
+malformed polynomial JSON files and unwritable output paths.  No exception
+may escape ``main``; a SystemExit from ``--help`` counts as its code.  Sizes
+are bounded so that one run stays fast.
 """
 
 import contextlib
