@@ -10,11 +10,15 @@ Subcommands:
 * ``recurrence``  coefficient recurrence residual grid as CSV
 * ``qsmooth``     quotient smoothness experiment as JSON
 
-Exit codes: 0 success, 1 usage (no polynomial, or more than one of -p,
---poly-json and --factors), 2 input that cannot be parsed (malformed
-polynomial JSON too) or a file that cannot be read or written, 3 numerical
-failure, 4 inconclusive classification (the report is still written) or a
-request that does not fit in memory.
+Each subcommand is a function ``(args, polys) -> (report, code)`` that
+computes its report (text, or a dict written as JSON) and exit code; ``main``
+reads the polynomials, calls it and writes the report to stdout or --out.
+
+Exit codes: 0 success, 1 usage (no polynomial, more than one of -p,
+--poly-json and --factors, --n2 without --family box), 2 input that cannot
+be parsed (malformed polynomial JSON too) or a file that cannot be read or
+written, 3 numerical failure, 4 inconclusive classification (the report is
+still written) or a request that does not fit in memory.
 All floating point output is printed with 12 significant digits.
 """
 
@@ -22,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import re
@@ -72,17 +74,17 @@ def _parse_complex(text: str) -> complex:
         raise ParseError(f"cannot read complex number from {text!r}") from None
 
 
-def _load_polys(args, factors: Optional[str] = None) -> list[Poly2]:
-    """The polynomials named by exactly one source: -p, --poly-json or the
-    semicolon-separated ``factors`` (classify's --factors).  A source given
-    an empty value counts as given."""
+def _load_polys(args) -> list[Poly2]:
+    """The polynomials named by exactly one source: -p, --poly-json or
+    classify's semicolon-separated --factors.  A source given an empty value
+    counts as given."""
     poly, poly_json = args.poly is not None, args.poly_json is not None
     if poly and poly_json:
         raise _UsageError("give either --poly or --poly-json, not both")
-    if factors is not None and (poly or poly_json):
+    if args.factors is not None and (poly or poly_json):
         raise _UsageError("give either --factors or a polynomial, not both")
-    if factors is not None:
-        exprs = [e.strip() for e in factors.split(";") if e.strip()]
+    if args.factors is not None:
+        exprs = [e.strip() for e in args.factors.split(";") if e.strip()]
         if not exprs:
             raise _UsageError("--factors needs at least one expression")
         return [parse_polynomial(e) for e in exprs]
@@ -131,17 +133,6 @@ def _output_file(path: str):
         raise ParseError(f"cannot write {path}: {exc}") from None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with _output_file(out) as fh:
-            fh.write(text)
-    else:
-        # one write, flushed here, so that a reader that has gone raises
-        # BrokenPipeError inside main rather than at interpreter exit
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()
-
-
 def _round_floats(obj):
     """obj with every float in it rounded to 12 significant digits."""
     if isinstance(obj, float):
@@ -153,40 +144,48 @@ def _round_floats(obj):
     return obj
 
 
-def _emit_json(obj, out: Optional[str]) -> None:
-    _emit(json.dumps(_round_floats(obj), indent=2, sort_keys=True), out)
+def _emit(report, out: Optional[str]) -> None:
+    """Write report, text or else JSON, with one final newline to out or stdout."""
+    if not isinstance(report, str):
+        report = json.dumps(_round_floats(report), indent=2, sort_keys=True)
+    text = report if report.endswith("\n") else report + "\n"
+    if out:
+        with _output_file(out) as fh:
+            fh.write(text)
+    else:
+        # one write, flushed here, so that a reader that has gone raises
+        # BrokenPipeError inside main rather than at interpreter exit
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
-def _basis(args) -> BasisSpec:
-    family = args.family
-    if family == "total":
-        return BasisSpec.total(args.nmax)
-    if family == "diagonal":
-        return BasisSpec.diagonal(args.nmax)
-    n2 = args.n2 if args.n2 is not None else args.nmax
-    return BasisSpec.box(args.nmax, n2)
+def _csv(header: str, rows) -> str:
+    """CSV text of rows under header; no field ever needs quoting."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)])
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_norm(args) -> int:
-    f = _load_polys(args)[0]
+def _cmd_norm(args, polys):
     lines = []
     for alpha in _parse_alphas(args.alpha):
-        t = compare_norms(f, alpha)
+        t = compare_norms(polys[0], alpha)
         lines.append(
             f"alpha={_fmt(alpha)} iso={_fmt(t.iso)} aniso={_fmt(t.aniso)} iso2x={_fmt(t.iso2x)}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines), 0
 
 
-def _cmd_opa(args) -> int:
-    f = _load_polys(args)[0]
+def _cmd_opa(args, polys):
+    f = polys[0]
     alpha = _single_alpha(args)
+    box = args.family == "box"
+    if args.n2 is not None and not box:
+        raise _UsageError("--n2 needs --family box")
+    n2 = (args.nmax if args.n2 is None else args.n2) if box else 0
     space = SpaceSpec(args.space, alpha)
-    result = optimal_approximant(f, _basis(args), space)
+    result = optimal_approximant(f, BasisSpec(args.family, args.nmax, n2), space)
     report = {
         "polynomial": poly2_to_json_dict(f),
         "space": {"kind": space.kind, "alpha": space.alpha},
@@ -202,30 +201,18 @@ def _cmd_opa(args) -> int:
         "distance": result.distance,
         "method": "cholesky",
     }
-    _emit_json(report, args.out)
-    return 0
+    return report, 0
 
 
-def _cmd_scan(args) -> int:
-    f = _load_polys(args)[0]
-    alphas = sorted(_parse_alphas(args.alpha))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha", "n", "basis_size", "distance_sq", "distance"])
-    for alpha in alphas:
+def _cmd_scan(args, polys):
+    rows = []
+    for alpha in sorted(_parse_alphas(args.alpha)):
         space = SpaceSpec(args.space, alpha)
-        for row in distance_scan(f, space, args.nmax, family=args.family):
-            writer.writerow(
-                [
-                    _fmt(alpha),
-                    row.n,
-                    row.basis_size,
-                    _fmt(row.distance_squared),
-                    _fmt(row.distance),
-                ]
-            )
-    _emit(buf.getvalue(), args.out)
-    return 0
+        rows += [
+            (_fmt(alpha), row.n, row.basis_size, _fmt(row.distance_squared), _fmt(row.distance))
+            for row in distance_scan(polys[0], space, args.nmax, family=args.family)
+        ]
+    return _csv("alpha,n,basis_size,distance_sq,distance", rows), 0
 
 
 def _zero_sets(f: Poly2) -> tuple[dict, Optional[TorusZeroClass], BidiskZeroReport]:
@@ -243,71 +230,41 @@ def _zero_sets(f: Poly2) -> tuple[dict, Optional[TorusZeroClass], BidiskZeroRepo
     return report, torus, bidisk
 
 
-def _cmd_zeros(args) -> int:
-    report, torus, _ = _zero_sets(_load_polys(args)[0])
-    _emit_json(report, args.out)
-    return 4 if torus is None else 0
+def _cmd_zeros(args, polys):
+    report, torus, _ = _zero_sets(polys[0])
+    return report, 4 if torus is None else 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, polys):
     alpha = _single_alpha(args)
-    polys = _load_polys(args, args.factors)
+    if args.factors is None:
+        f = polys[0]
+        try:
+            result = corroborate(f, alpha, n_max=args.nmax, family=args.family)
+        except InconclusiveError as exc:
+            report = {"polynomial": poly2_to_json_dict(f), "alpha": alpha, "inconclusive": str(exc)}
+            return report, 4
+        return result.to_json_dict(), 4 if result.predicted.verdict == "not_applicable" else 0
 
-    if args.factors is not None:
-        factor_reports = []
-        predictions = []
-        for poly in polys:
-            report, torus, bidisk = _zero_sets(poly)
-            if torus is None:
-                # a refused factor is reported by name and reason, and ends the run
-                factor_reports.append({k: report[k] for k in ("polynomial", "inconclusive")})
-                _emit_json(
-                    {"alpha": alpha, "factors": factor_reports, "predicted": None},
-                    args.out,
-                )
-                return 4
-            pred = predict(poly, alpha, torus, bidisk)
-            predictions.append(pred)
-            factor_reports.append({**report, "predicted": pred.verdict, "reason": pred.reason})
-        combined = product_rule(predictions)
-        _emit_json(
-            {
-                "alpha": alpha,
-                "factors": factor_reports,
-                "predicted": combined.verdict,
-                "reason": combined.reason,
-            },
-            args.out,
-        )
-        return 4 if combined.verdict == "not_applicable" else 0
-
-    f = polys[0]
-    try:
-        report = corroborate(f, alpha, n_max=args.nmax, family=args.family)
-    except InconclusiveError as exc:
-        _emit_json(
-            {
-                "polynomial": poly2_to_json_dict(f),
-                "alpha": alpha,
-                "inconclusive": str(exc),
-            },
-            args.out,
-        )
-        return 4
-    _emit_json(report.to_json_dict(), args.out)
-    return 4 if report.predicted.verdict == "not_applicable" else 0
+    reports, predictions = [], []
+    for poly in polys:
+        report, torus, bidisk = _zero_sets(poly)
+        if torus is None:
+            # a refused factor is reported by name and reason, and ends the run
+            reports.append({k: report[k] for k in ("polynomial", "inconclusive")})
+            return {"alpha": alpha, "factors": reports, "predicted": None}, 4
+        pred = predict(poly, alpha, torus, bidisk)
+        predictions.append(pred)
+        reports.append({**report, "predicted": pred.verdict, "reason": pred.reason})
+    rule = product_rule(predictions)
+    report = {"alpha": alpha, "factors": reports, "predicted": rule.verdict, "reason": rule.reason}
+    return report, 4 if rule.verdict == "not_applicable" else 0
 
 
-def _cmd_recurrence(args) -> int:
-    g = _load_polys(args)[0]
-    grid = recurrence_residuals(g, args.kmax, args.lmax)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "l", "residual_re", "residual_im"])
-    for k, l, re, im in grid.rows():
-        writer.writerow([k, l, _fmt(re), _fmt(im)])
-    _emit(buf.getvalue(), args.out)
-    return 0
+def _cmd_recurrence(args, polys):
+    grid = recurrence_residuals(polys[0], args.kmax, args.lmax)
+    rows = ((k, l, _fmt(re), _fmt(im)) for k, l, re, im in grid.rows())
+    return _csv("k,l,residual_re,residual_im", rows), 0
 
 
 def _parse_zero_list(text: str) -> list[tuple[complex, complex]]:
@@ -323,16 +280,14 @@ def _parse_zero_list(text: str) -> list[tuple[complex, complex]]:
     return zeros
 
 
-def _cmd_qsmooth(args) -> int:
-    p = _load_polys(args)[0]
+def _cmd_qsmooth(args, polys):
     zeros = _parse_zero_list(args.zeros) if args.zeros else []
-    report = q_smoothness(p, zeros, args.exponent, grid_size=args.grid)
+    report = q_smoothness(polys[0], zeros, args.exponent, grid_size=args.grid)
     if args.qhat_csv:
         with _output_file(args.qhat_csv) as fh:
             fh.write("k,l,abs_qhat\n")
             fh.writelines(f"{k},{l},{_fmt(mag)}\n" for k, l, mag in report.qhat_rows())
-    _emit_json(report.to_json_dict(), args.out)
-    return 0
+    return report.to_json_dict(), 0
 
 
 # ---------------------------------------------------------------- wiring
@@ -340,12 +295,12 @@ def _cmd_qsmooth(args) -> int:
 
 def _subcommand(sub, name: str, func, help: str, out_help: Optional[str] = None):
     """A subparser with the options every subcommand takes: the polynomial
-    sources -p and --poly-json, and --out."""
+    sources -p and --poly-json, and --out; only classify sets --factors."""
     p = sub.add_parser(name, help=help)
     p.add_argument("-p", "--poly", help="polynomial expression in z1, z2")
     p.add_argument("--poly-json", help="path to a polynomial JSON file")
     p.add_argument("--out", help=out_help)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, factors=None)
     return p
 
 
@@ -380,7 +335,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", choices=["total", "diagonal"], default="total")
     p.add_argument(
         "--factors",
-        help="semicolon-separated factor expressions; classify the product",
+        help="semicolon-separated factor expressions; classify the product from"
+        " its factors' zero sets, with no distance scan (--nmax and --family unused)",
     )
 
     p = _subcommand(sub, "recurrence", _cmd_recurrence, "coefficient recurrence residual CSV")
@@ -419,9 +375,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
-        if not getattr(args, "command", None):
+        if not args.command:
             raise _UsageError("a subcommand is required (see --help)")
-        return args.func(args)
+        report, code = args.func(args, _load_polys(args))
+        _emit(report, args.out)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

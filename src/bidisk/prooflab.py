@@ -142,9 +142,9 @@ def q_smoothness(
 
     Q is set to 0 at grid points where |p| falls below RESID_TOL times the
     coefficient norm; such points must sit next to a declared zero,
-    otherwise the declared zero list cannot be trusted and a ValueError is
-    raised.  grid_size must be a power of two no smaller than four times
-    the total degree of either polynomial.
+    otherwise the declared zero list cannot be trusted and a
+    DegenerateInputError is raised.  grid_size must be a power of two no
+    smaller than four times the total degree of either polynomial.
     """
     if grid_size < 2 or grid_size & (grid_size - 1):
         raise DegenerateInputError("grid_size must be a power of two")

@@ -98,6 +98,17 @@ def test_opa_univariate_space_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["total", "diagonal"])
+def test_opa_n2_without_box_is_a_usage_error(capsys, family):
+    code, out, err = run(
+        capsys, "opa", "-p", "1 - z1*z2", "--alpha", "1", "--nmax", "3",
+        "--family", family, "--n2", "7",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: --n2 needs --family box\n"
+
+
 # ----------------------------------------------------------------- scan
 
 
@@ -490,6 +501,28 @@ def test_out_file_and_poly_json_round_trip(capsys, tmp_path):
     assert out.startswith("alpha=1 iso=")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "-p", "1 + z1", "--alpha", "1,2"],
+        ["opa", "-p", "z1", "--alpha", "1", "--nmax", "2"],
+        ["scan", "-p", "2 - z1 - z2", "--alpha", "1", "--nmax", "5"],
+        ["zeros", "-p", "2 - z1 - z2"],
+        ["classify", "-p", "2 - z1 - z2", "--alpha", "1", "--nmax", "10"],
+        ["recurrence", "-p", "1 - z1", "--kmax", "3", "--lmax", "3"],
+        ["qsmooth", "-p", "2 - z1 - z2", "--zeros", "1,1", "--exponent", "2", "--grid", "32"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == stdout.encode("utf-8")
+
+
 def test_exit_unwritable_out(capsys, tmp_path):
     path = tmp_path / "missing" / "x.txt"
     code, out, err = run(capsys, "norm", "-p", "1 + z1", "--alpha", "1", "--out", str(path))
@@ -563,6 +596,15 @@ def test_exit_malformed_poly_json(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: malformed polynomial JSON: ")
+
+
+def test_classify_reads_the_polynomial_before_its_alpha(capsys):
+    # every subcommand reads its polynomial first, so a bad polynomial is
+    # reported ahead of a bad --alpha
+    code, out, err = run(capsys, "classify", "--alpha", "1,2", "-p", "1 - (")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: unexpected end of input")
 
 
 def test_exit_parse_error(capsys):
