@@ -32,7 +32,7 @@ from .approximant import (
     ScanRow,
 )
 from .errors import DegenerateInputError, NumericalError
-from .poly import Poly2, coeff_norm, poly2_to_json_dict
+from .poly import Poly2, coeff_norm
 from .spaces import iso
 from .zeroset import (
     BidiskZeroReport,
@@ -106,37 +106,6 @@ class ClassificationReport:
     certificate: Optional[float]
     consistent: Optional[bool]
     scan: tuple[ScanRow, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        emp = None
-        if self.empirical is not None:
-            emp = {
-                "label": self.empirical.label,
-                "limit_estimate": self.empirical.limit_estimate,
-                "fit_model": self.empirical.fit_model,
-                "fit_params": list(self.empirical.fit_params),
-                "fit_residual": self.empirical.fit_residual,
-            }
-        return {
-            "polynomial": poly2_to_json_dict(self.p),
-            "alpha": self.alpha,
-            "bidisk": self.bidisk.to_json_dict(),
-            "torus": self.torus.to_json_dict(),
-            "predicted": self.predicted.verdict,
-            "reason": self.predicted.reason,
-            "empirical": emp,
-            "certificate": self.certificate,
-            "consistent": self.consistent,
-            "scan": [
-                {
-                    "n": r.n,
-                    "basis_size": r.basis_size,
-                    "distance_sq": r.distance_squared,
-                    "distance": r.distance,
-                }
-                for r in self.scan
-            ],
-        }
 
 
 def corroborate(

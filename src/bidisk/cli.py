@@ -13,12 +13,15 @@ Subcommands:
 Each subcommand is a function ``(args, polys) -> (report, code)`` that
 computes its report (text, or a dict written as JSON) and exit code; ``main``
 reads the polynomials, calls it and writes the report to stdout or --out.
+This module alone turns results into text: the numeric modules return
+dataclasses, and the JSON shapes and CSV rows are written here.
 
 Exit codes: 0 success, 1 usage (no polynomial, more than one of -p,
 --poly-json and --factors, --n2 without --family box), 2 input that cannot
-be parsed (malformed polynomial JSON too) or a file that cannot be read or
-written, 3 numerical failure, 4 inconclusive classification (the report is
-still written) or a request that does not fit in memory.
+be parsed (malformed polynomial JSON too), a non-finite alpha or a file that
+cannot be read or written, 3 numerical failure, 4 inconclusive
+classification (the report is still written) or a request that does not fit
+in memory.
 All floating point output is printed with 12 significant digits.
 """
 
@@ -32,8 +35,10 @@ import re
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .approximant import BasisSpec, distance_scan, optimal_approximant
-from .classify import corroborate, predict, product_rule
+from .classify import ClassificationReport, corroborate, predict, product_rule
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -45,7 +50,7 @@ from .expr import parse_polynomial, to_expression
 from .poly import Poly2, poly2_from_json_dict, poly2_to_json_dict
 from .prooflab import q_smoothness, recurrence_residuals
 from .spaces import SpaceSpec, compare_norms
-from .zeroset import BidiskZeroReport, TorusZeroClass, bidisk_zero_search, torus_zeros
+from .zeroset import DELTA, BidiskZeroReport, TorusZeroClass, bidisk_zero_search, torus_zeros
 
 __all__ = ["main"]
 
@@ -112,6 +117,8 @@ def _parse_alphas(text: str) -> list[float]:
             out.append(float(part))
         except ValueError:
             raise _UsageError(f"bad alpha value {part!r}") from None
+        if not np.isfinite(out[-1]):
+            raise DegenerateInputError("alpha must be finite")
     if not out:
         raise _UsageError("alpha list is empty")
     return out
@@ -148,7 +155,7 @@ def _emit(report, out: Optional[str]) -> None:
     """Write report, text or else JSON, with one final newline to out or stdout."""
     if not isinstance(report, str):
         report = json.dumps(_round_floats(report), indent=2, sort_keys=True)
-    text = report if report.endswith("\n") else report + "\n"
+    text = report + "\n"
     if out:
         with _output_file(out) as fh:
             fh.write(text)
@@ -162,6 +169,72 @@ def _emit(report, out: Optional[str]) -> None:
 def _csv(header: str, rows) -> str:
     """CSV text of rows under header; no field ever needs quoting."""
     return "\n".join([header, *(",".join(map(str, row)) for row in rows)])
+
+
+def _re_im(*zs: complex) -> list[float]:
+    """[re, im] of one complex number, [re1, im1, re2, im2] of a point."""
+    return [x for z in zs for x in (z.real, z.imag)]
+
+
+def _torus_json(torus: TorusZeroClass) -> dict:
+    out: dict = {"torus": torus.kind}
+    if torus.kind == "finite":
+        out["points"] = [_re_im(*point) for point in torus.points]
+    elif torus.kind == "infinite":
+        out["witness"] = torus.witness
+        if torus.witness == "proportional_reflection":
+            out["lambda"] = _re_im(torus.witness_data)
+        elif torus.witness == "univariate_circle_roots":
+            out["variable"], roots = torus.witness_data
+            out["roots"] = [_re_im(r) for r in roots]
+        elif torus.witness == "line_factor":
+            out["variable"], value = torus.witness_data
+            out["value"] = _re_im(value)
+    return out
+
+
+def _bidisk_json(bidisk: BidiskZeroReport) -> dict:
+    if bidisk.kind == "zero_found":
+        point = _re_im(*bidisk.point)
+        return {"bidisk": bidisk.kind, "point": point, "modulus": bidisk.min_modulus}
+    return {
+        "bidisk": bidisk.kind,
+        "min_modulus": bidisk.min_modulus,
+        "grid": {"delta": DELTA, "angles": bidisk.angles},
+    }
+
+
+def _zeros_json(f: Poly2, torus: TorusZeroClass | InconclusiveError, bidisk: BidiskZeroReport) -> dict:
+    """f's zero-set report; a refused torus classification is null, with the
+    refusal's reason under "inconclusive"."""
+    report = {"polynomial": poly2_to_json_dict(f), "bidisk": _bidisk_json(bidisk)}
+    if isinstance(torus, InconclusiveError):
+        return {**report, "torus": None, "inconclusive": str(torus)}
+    return {**report, "torus": _torus_json(torus)}
+
+
+def _classify_json(result: ClassificationReport) -> dict:
+    emp = result.empirical
+    empirical = None if emp is None else {
+        "label": emp.label,
+        "limit_estimate": emp.limit_estimate,
+        "fit_model": emp.fit_model,
+        "fit_params": emp.fit_params,
+        "fit_residual": emp.fit_residual,
+    }
+    return {
+        **_zeros_json(result.p, result.torus, result.bidisk),
+        "alpha": result.alpha,
+        "predicted": result.predicted.verdict,
+        "reason": result.predicted.reason,
+        "empirical": empirical,
+        "certificate": result.certificate,
+        "consistent": result.consistent,
+        "scan": [
+            {"n": r.n, "basis_size": r.basis_size, "distance_sq": r.distance_squared, "distance": r.distance}
+            for r in result.scan
+        ],
+    }
 
 
 # ---------------------------------------------------------------- commands
@@ -215,24 +288,19 @@ def _cmd_scan(args, polys):
     return _csv("alpha,n,basis_size,distance_sq,distance", rows), 0
 
 
-def _zero_sets(f: Poly2) -> tuple[dict, Optional[TorusZeroClass], BidiskZeroReport]:
-    """f's torus classification and bidisk search with their JSON report; a
-    refused classification is None, with its reason under "inconclusive"."""
-    report: dict = {"polynomial": poly2_to_json_dict(f)}
+def _zero_sets(f: Poly2) -> tuple[TorusZeroClass | InconclusiveError, BidiskZeroReport]:
+    """f's torus classification, or the InconclusiveError that refused it,
+    and its bidisk search."""
     try:
         torus = torus_zeros(f)
-        report["torus"] = torus.to_json_dict()
     except InconclusiveError as exc:
-        torus = report["torus"] = None
-        report["inconclusive"] = str(exc)
-    bidisk = bidisk_zero_search(f)
-    report["bidisk"] = bidisk.to_json_dict()
-    return report, torus, bidisk
+        torus = exc
+    return torus, bidisk_zero_search(f)
 
 
 def _cmd_zeros(args, polys):
-    report, torus, _ = _zero_sets(polys[0])
-    return report, 4 if torus is None else 0
+    torus, bidisk = _zero_sets(polys[0])
+    return _zeros_json(polys[0], torus, bidisk), 4 if isinstance(torus, InconclusiveError) else 0
 
 
 def _cmd_classify(args, polys):
@@ -244,12 +312,13 @@ def _cmd_classify(args, polys):
         except InconclusiveError as exc:
             report = {"polynomial": poly2_to_json_dict(f), "alpha": alpha, "inconclusive": str(exc)}
             return report, 4
-        return result.to_json_dict(), 4 if result.predicted.verdict == "not_applicable" else 0
+        return _classify_json(result), 4 if result.predicted.verdict == "not_applicable" else 0
 
     reports, predictions = [], []
     for poly in polys:
-        report, torus, bidisk = _zero_sets(poly)
-        if torus is None:
+        torus, bidisk = _zero_sets(poly)
+        report = _zeros_json(poly, torus, bidisk)
+        if isinstance(torus, InconclusiveError):
             # a refused factor is reported by name and reason, and ends the run
             reports.append({k: report[k] for k in ("polynomial", "inconclusive")})
             return {"alpha": alpha, "factors": reports, "predicted": None}, 4
@@ -263,7 +332,7 @@ def _cmd_classify(args, polys):
 
 def _cmd_recurrence(args, polys):
     grid = recurrence_residuals(polys[0], args.kmax, args.lmax)
-    rows = ((k, l, _fmt(re), _fmt(im)) for k, l, re, im in grid.rows())
+    rows = ((k, l, _fmt(r.real), _fmt(r.imag)) for (k, l), r in np.ndenumerate(grid.residuals))
     return _csv("k,l,residual_re,residual_im", rows), 0
 
 
@@ -282,12 +351,25 @@ def _parse_zero_list(text: str) -> list[tuple[complex, complex]]:
 
 def _cmd_qsmooth(args, polys):
     zeros = _parse_zero_list(args.zeros) if args.zeros else []
-    report = q_smoothness(polys[0], zeros, args.exponent, grid_size=args.grid)
+    result = q_smoothness(polys[0], zeros, args.exponent, grid_size=args.grid)
     if args.qhat_csv:
+        # |Q^(k, l)| at the signed frequencies 0, 1, ..., -1 of each axis
+        n = result.grid_size
+        freqs = np.fft.fftfreq(n, d=1.0 / n).astype(int).tolist()
         with _output_file(args.qhat_csv) as fh:
             fh.write("k,l,abs_qhat\n")
-            fh.writelines(f"{k},{l},{_fmt(mag)}\n" for k, l, mag in report.qhat_rows())
-    return report.to_json_dict(), 0
+            for k, mags in zip(freqs, result.qhat_abs):
+                fh.writelines(f"{k},{l},{_fmt(mag)}\n" for l, mag in zip(freqs, mags.tolist()))
+    report = {
+        "polynomial": poly2_to_json_dict(result.p),
+        "zeros": [_re_im(*z) for z in result.zeros],
+        "N": result.n,
+        "grid_size": result.grid_size,
+        "neg_freq_energy_fraction": result.neg_freq_energy_fraction,
+        "weighted_tail_ratio": result.weighted_tail_ratio,
+        "reconstruction_error": result.reconstruction_error,
+    }
+    return report, 0
 
 
 # ---------------------------------------------------------------- wiring

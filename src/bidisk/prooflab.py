@@ -23,13 +23,12 @@ Two computations make the threshold mechanism tangible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .poly import Poly2, _torus_samples, coeff_norm, poly2_to_json_dict
+from .poly import Poly2, _torus_samples, coeff_norm
 from .spaces import iso, norm_squared
 from .zeroset import RESID_TOL
 
@@ -51,12 +50,6 @@ class RecurrenceResidualGrid:
     @property
     def max_abs(self) -> float:
         return float(np.abs(self.residuals).max())
-
-    def rows(self):
-        for k in range(self.kmax + 1):
-            for l in range(self.lmax + 1):
-                r = self.residuals[k, l]
-                yield k, l, r.real, r.imag
 
 
 def recurrence_residuals(g: Poly2, kmax: int, lmax: int) -> RecurrenceResidualGrid:
@@ -113,23 +106,6 @@ class QExperimentReport:
     weighted_tail_ratio: float
     reconstruction_error: float
     qhat_abs: np.ndarray = field(repr=False)  # (grid, grid) DFT magnitudes
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": poly2_to_json_dict(self.p),
-            "zeros": [[a.real, a.imag, b.real, b.imag] for a, b in self.zeros],
-            "N": self.n,
-            "grid_size": self.grid_size,
-            "neg_freq_energy_fraction": self.neg_freq_energy_fraction,
-            "weighted_tail_ratio": self.weighted_tail_ratio,
-            "reconstruction_error": self.reconstruction_error,
-        }
-
-    def qhat_rows(self):
-        """(k, l, |Q^(k,l)|) rows with signed frequencies."""
-        freqs = np.fft.fftfreq(self.grid_size, d=1.0 / self.grid_size).astype(int).tolist()
-        for k, mags in zip(freqs, self.qhat_abs):
-            yield from zip(repeat(k), freqs, mags.tolist())
 
 
 def q_smoothness(

@@ -96,28 +96,6 @@ class TorusZeroClass:
     witness: Optional[str] = None
     witness_data: Optional[object] = None
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "empty":
-            return {"torus": "empty"}
-        if self.kind == "finite":
-            return {
-                "torus": "finite",
-                "points": [[z1.real, z1.imag, z2.real, z2.imag] for z1, z2 in self.points],
-            }
-        out = {"torus": "infinite", "witness": self.witness}
-        if self.witness == "proportional_reflection":
-            lam = complex(self.witness_data)
-            out["lambda"] = [lam.real, lam.imag]
-        elif self.witness == "univariate_circle_roots":
-            variable, roots = self.witness_data
-            out["variable"] = variable
-            out["roots"] = [[r.real, r.imag] for r in roots]
-        elif self.witness == "line_factor":
-            variable, value = self.witness_data
-            out["variable"] = variable
-            out["value"] = [value.real, value.imag]
-        return out
-
 
 def _strip_monomial(p: Poly2) -> Poly2:
     """Divide out the largest monomial factor z1^a z2^b."""
@@ -223,20 +201,6 @@ class BidiskZeroReport:
     point: Optional[tuple[complex, complex]]
     min_modulus: float
     angles: int = ANGLES
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "zero_found":
-            z1, z2 = self.point
-            return {
-                "bidisk": "zero_found",
-                "point": [z1.real, z1.imag, z2.real, z2.imag],
-                "modulus": self.min_modulus,
-            }
-        return {
-            "bidisk": "none_found_heuristic",
-            "min_modulus": self.min_modulus,
-            "grid": {"delta": DELTA, "angles": self.angles},
-        }
 
 
 def _disk_flags(f: np.ndarray) -> np.ndarray:

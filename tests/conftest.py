@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bidisk.cli import main
 from bidisk.poly import Poly2
 
 
@@ -16,6 +17,19 @@ MALFORMED_POLY_JSON = {
     "re_not_a_number": '{"bidegree": [1, 1], "coeffs": [{"k": 0, "l": 0, "re": "1"}]}',
     "re_past_double_range": '{"bidegree": [1, 1], "coeffs": [{"k": 0, "l": 0, "re": 1%s}]}' % ("0" * 400),
 }
+
+
+@pytest.fixture
+def cli(capsys):
+    """A runner of bidisk.cli.main: checks that argv exits 0 and returns stdout."""
+
+    def run(*argv):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        assert code == 0, (argv, code)
+        return out
+
+    return run
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Cyclicity prediction, the product rule, and the corroborating pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -199,9 +201,8 @@ def test_corroborate_short_scan_skips_empirics():
     assert len(rep.scan) == 6
 
 
-def test_report_json_shape():
-    rep = corroborate(P("2 - z1 - z2"), 3.0, n_max=12)
-    d = rep.to_json_dict()
+def test_report_json_shape(cli):
+    d = json.loads(cli("classify", "-p", "2 - z1 - z2", "--alpha", "3", "--nmax", "12"))
     assert d["alpha"] == 3.0
     assert d["predicted"] == "not_cyclic"
     assert d["torus"]["torus"] == "finite"

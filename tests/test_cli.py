@@ -166,6 +166,13 @@ def test_zeros_interior_zero(capsys):
     doc = json.loads(out)
     assert doc["bidisk"]["bidisk"] == "zero_found"
 
+    # z2 (2 - z1) vanishes on the slice z2 = 0, where the search's first
+    # column is all zeros; 0 is taken for its root
+    code, out, _ = run(capsys, "zeros", "-p", "z2*(2 - z1)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bidisk"] == {"bidisk": "zero_found", "point": [0.0, 0.0, 0.0, 0.0], "modulus": 0.0}
+
 
 def test_zeros_large_resultant_is_refused_without_traceback(capsys):
     # its Sylvester stack would take 512 GiB; the bidisk block is still written
@@ -596,6 +603,25 @@ def test_exit_malformed_poly_json(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: malformed polynomial JSON: ")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "-p", "1 + z1"],
+        ["opa", "-p", "1 - z1", "--nmax", "2"],
+        ["scan", "-p", "1 - z1", "--nmax", "2"],
+        ["classify", "-p", "1 - z1", "--nmax", "4"],
+        ["classify", "--factors", "1 - z1; 1 - z2"],
+    ],
+)
+def test_non_finite_alpha_is_an_input_error(capsys, argv, alpha):
+    # no strict JSON parser reads NaN or Infinity, so no report may carry one
+    code, out, err = run(capsys, *argv, "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: alpha must be finite\n"
 
 
 def test_classify_reads_the_polynomial_before_its_alpha(capsys):

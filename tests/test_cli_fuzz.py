@@ -3,12 +3,14 @@
 Argument vectors are built across all seven subcommands from small values,
 junk tokens, the removed override flags, negative and comma-list alphas,
 malformed polynomial JSON files and unwritable output paths.  No exception
-may escape ``main``; a SystemExit from ``--help`` counts as its code.  Sizes
+may escape ``main``; a SystemExit from ``--help`` counts as its code.  A JSON
+report written to stdout must be strict JSON: no NaN, no Infinity.  Sizes
 are bounded so that one run stays fast.
 """
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,8 @@ COMMANDS = {
     },
 }
 
+JSON_COMMANDS = {"opa", "zeros", "classify", "qsmooth"}  # subcommands whose report is JSON
+
 
 @pytest.fixture(scope="module")
 def paths(tmp_path_factory):
@@ -99,13 +103,21 @@ def argvs(draw, paths, poly_jsons):
     return argv
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_every_argv_ends_in_a_documented_exit_code(paths, poly_jsons, data):
     argv = data.draw(argvs(paths, poly_jsons))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    stdout, json_report = io.StringIO(), False
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
+            json_report = argv[0] in JSON_COMMANDS and code in (0, 4)
         except SystemExit as exc:
             code = exc.code
     assert isinstance(code, int) and 0 <= code <= 4, (argv, code)
+    if json_report and stdout.getvalue():
+        json.loads(stdout.getvalue(), parse_constant=_not_json)

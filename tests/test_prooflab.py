@@ -1,5 +1,7 @@
 """Recurrence residual grids and the spectral smoothness experiment."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -58,11 +60,11 @@ def test_constant_b_series_has_zero_residuals_but_growing_norm():
     assert norms[0] < norms[1] < norms[2]
 
 
-def test_residual_rows_iteration():
-    grid = recurrence_residuals(P("1 + z1"), 1, 1)
-    rows = list(grid.rows())
+def test_residual_rows_iteration(cli):
+    header, *rows = cli("recurrence", "-p", "1 + z1", "--kmax", "1", "--lmax", "1").splitlines()
+    rows = [r.split(",") for r in rows]
     assert len(rows) == 4
-    assert rows[0][:2] == (0, 0)
+    assert rows[0][:2] == ["0", "0"]
     assert all(len(r) == 4 for r in rows)
 
 
@@ -138,10 +140,13 @@ def test_q_smooth_quotient_without_torus_zeros():
     assert rep.reconstruction_error < 1e-9
 
 
-def test_q_quotient_spectrum_values():
+def test_q_quotient_spectrum_values(cli, tmp_path):
     # g/p = 2 - z1 - z2 exactly; the spectrum has three lines
-    rep = q_smoothness(P("2 - z1 - z2"), [(1.0, 1.0)], 2, grid_size=32)
-    table = {(k, l): v for k, l, v in rep.qhat_rows()}
+    path = tmp_path / "qhat.csv"
+    argv = ["-p", "2 - z1 - z2", "--zeros", "1,1", "--exponent", "2", "--grid", "32"]
+    cli("qsmooth", *argv, "--qhat-csv", str(path))
+    header, *rows = path.read_text().splitlines()
+    table = {(int(k), int(l)): float(v) for k, l, v in (r.split(",") for r in rows)}
     assert len(table) == 32 * 32
     assert table[(0, 0)] == pytest.approx(2.0, abs=1e-10)
     assert table[(1, 0)] == pytest.approx(1.0, abs=1e-10)
@@ -150,9 +155,9 @@ def test_q_quotient_spectrum_values():
     assert min(k for k, _ in table) == -16
 
 
-def test_q_report_json():
-    rep = q_smoothness(P("2 - z1 - z2"), [(1.0, 1.0)], 2, grid_size=64)
-    d = rep.to_json_dict()
+def test_q_report_json(cli):
+    argv = ["-p", "2 - z1 - z2", "--zeros", "1,1", "--exponent", "2", "--grid", "64"]
+    d = json.loads(cli("qsmooth", *argv))
     assert d["N"] == 2
     assert d["grid_size"] == 64
     assert d["zeros"] == [[1.0, 0.0, 1.0, 0.0]]

@@ -1,5 +1,6 @@
 """Torus zero classification and the bidisk zero search."""
 
+import json
 import warnings
 
 import numpy as np
@@ -91,10 +92,10 @@ def test_torus_line_factor():
 
 
 @pytest.mark.parametrize("text", ["(1 - z1*z2)*(3 - z1 - z2)", "(2 - z1 - z2)*(1 - z1*z2)"])
-def test_torus_vanishing_resultant(text):
+def test_torus_vanishing_resultant(text, cli):
     # p shares the factor 1 - z1 z2 with its reflection without being
     # proportional to it, so Res_z2(p, p~) vanishes identically
-    assert torus_zeros(P(text)).to_json_dict() == {
+    assert json.loads(cli("zeros", "-p", text))["torus"] == {
         "torus": "infinite",
         "witness": "vanishing_resultant",
     }
@@ -151,25 +152,28 @@ def test_torus_finite_points_vanish():
 # ------------------------------------------------------------- torus: JSON
 
 
-def test_torus_json_shapes():
-    assert torus_zeros(P("z1 - 2")).to_json_dict() == {"torus": "empty"}
+def test_torus_json_shapes(cli):
+    def torus(text):
+        return json.loads(cli("zeros", "-p", text))["torus"]
 
-    d = torus_zeros(P("2 - z1 - z2")).to_json_dict()
+    assert torus("z1 - 2") == {"torus": "empty"}
+
+    d = torus("2 - z1 - z2")
     assert d["torus"] == "finite"
     assert len(d["points"]) == 1
     assert d["points"][0] == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-8)
 
-    d = torus_zeros(P("1 - z1 z2")).to_json_dict()
+    d = torus("1 - z1 z2")
     assert d["torus"] == "infinite"
     assert d["witness"] == "proportional_reflection"
     assert d["lambda"] == pytest.approx([-1.0, 0.0])
 
-    d = torus_zeros(P("z1 - 1")).to_json_dict()
+    d = torus("z1 - 1")
     assert d["witness"] == "univariate_circle_roots"
     assert d["variable"] == "z1"
     assert d["roots"][0] == pytest.approx([1.0, 0.0], abs=1e-10)
 
-    d = torus_zeros(P("(z1 - 1)(z2 - 3)")).to_json_dict()
+    d = torus("(z1 - 1)(z2 - 3)")
     assert d["witness"] == "line_factor"
     assert d["variable"] == "z1"
     assert d["value"] == pytest.approx([1.0, 0.0], abs=1e-8)
@@ -252,10 +256,11 @@ def test_torus_grid_check_falls_through(text):
 
 
 @pytest.mark.parametrize("scale", ["1e-6", "1e-3", "1", "1e3"])
-def test_torus_scaled_square_reads_empty(scale):
+def test_torus_scaled_square_reads_empty(scale, cli):
     # the resultant's zero test called 1e-6 (3 - z1 - z2)^2 "infinite"
     # (vanishing_resultant); the grid proves |p| >= 1e-6 on the torus
-    assert torus_zeros(P(f"{scale}*(3 - z1 - z2)^2")).to_json_dict() == {"torus": "empty"}
+    report = json.loads(cli("zeros", "-p", f"{scale}*(3 - z1 - z2)^2"))
+    assert report["torus"] == {"torus": "empty"}
 
 
 # --------------------------------------------------------------- bidisk
@@ -484,13 +489,16 @@ def test_bidisk_zero_polynomial_rejected():
         bidisk_zero_search(Poly2(np.zeros((2, 2))))
 
 
-def test_bidisk_json_shapes():
-    d = bidisk_zero_search(P("z1 z2 - 0.25")).to_json_dict()
+def test_bidisk_json_shapes(cli):
+    def bidisk(text):
+        return json.loads(cli("zeros", "-p", text))["bidisk"]
+
+    d = bidisk("z1 z2 - 0.25")
     assert d["bidisk"] == "zero_found"
     assert len(d["point"]) == 4
     assert d["modulus"] <= 1e-8 * 0.25 * np.sqrt(17.0)
 
-    d = bidisk_zero_search(P("2 - z1 - z2")).to_json_dict()
+    d = bidisk("2 - z1 - z2")
     assert d["bidisk"] == "none_found_heuristic"
     assert d["min_modulus"] > 0
     assert d["grid"]["delta"] == 1e-3
