@@ -40,7 +40,6 @@ import numpy as np
 from .approximant import BasisSpec, distance_scan, optimal_approximant
 from .classify import ClassificationReport, corroborate, predict, product_rule
 from .errors import (
-    ConvergenceError,
     DegenerateInputError,
     InconclusiveError,
     NumericalError,
@@ -288,19 +287,18 @@ def _cmd_scan(args, polys):
     return _csv("alpha,n,basis_size,distance_sq,distance", rows), 0
 
 
-def _zero_sets(f: Poly2) -> tuple[TorusZeroClass | InconclusiveError, BidiskZeroReport]:
-    """f's torus classification, or the InconclusiveError that refused it,
-    and its bidisk search."""
+def _torus_or_refusal(f: Poly2) -> TorusZeroClass | InconclusiveError:
+    """f's torus classification, or the InconclusiveError that refused it."""
     try:
-        torus = torus_zeros(f)
+        return torus_zeros(f)
     except InconclusiveError as exc:
-        torus = exc
-    return torus, bidisk_zero_search(f)
+        return exc
 
 
 def _cmd_zeros(args, polys):
-    torus, bidisk = _zero_sets(polys[0])
-    return _zeros_json(polys[0], torus, bidisk), 4 if isinstance(torus, InconclusiveError) else 0
+    torus = _torus_or_refusal(polys[0])
+    report = _zeros_json(polys[0], torus, bidisk_zero_search(polys[0]))
+    return report, 4 if isinstance(torus, InconclusiveError) else 0
 
 
 def _cmd_classify(args, polys):
@@ -316,15 +314,16 @@ def _cmd_classify(args, polys):
 
     reports, predictions = [], []
     for poly in polys:
-        torus, bidisk = _zero_sets(poly)
-        report = _zeros_json(poly, torus, bidisk)
+        torus = _torus_or_refusal(poly)
         if isinstance(torus, InconclusiveError):
-            # a refused factor is reported by name and reason, and ends the run
-            reports.append({k: report[k] for k in ("polynomial", "inconclusive")})
+            # a refused factor is reported by name and reason, is not
+            # searched, and ends the run
+            reports.append({"polynomial": poly2_to_json_dict(poly), "inconclusive": str(torus)})
             return {"alpha": alpha, "factors": reports, "predicted": None}, 4
+        bidisk = bidisk_zero_search(poly)
         pred = predict(poly, alpha, torus, bidisk)
         predictions.append(pred)
-        reports.append({**report, "predicted": pred.verdict, "reason": pred.reason})
+        reports.append({**_zeros_json(poly, torus, bidisk), "predicted": pred.verdict, "reason": pred.reason})
     rule = product_rule(predictions)
     report = {"alpha": alpha, "factors": reports, "predicted": rule.verdict, "reason": rule.reason}
     return report, 4 if rule.verdict == "not_applicable" else 0
@@ -437,17 +436,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# argparse takes "-8" as a value but reads "-8,-2" as an unknown option
+# argparse takes "-8" as a value but reads "-8,-2" or "-1,-1" as an unknown
+# option
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
-def _glue_alpha(argv: Sequence[str]) -> list[str]:
-    """argv with ``--alpha VALUE`` written ``--alpha=VALUE`` wherever VALUE
-    starts like a negative number."""
+def _glue_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with ``--alpha VALUE`` and ``--zeros VALUE`` written
+    ``--alpha=VALUE`` and ``--zeros=VALUE`` wherever VALUE starts like a
+    negative number."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--alpha" and _NEGATIVE_VALUE.match(token):
-            out[-1] = f"--alpha={token}"
+        if out and out[-1] in ("--alpha", "--zeros") and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
@@ -456,7 +457,7 @@ def _glue_alpha(argv: Sequence[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_alpha(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
         if not args.command:
             raise _UsageError("a subcommand is required (see --help)")
         report, code = args.func(args, _load_polys(args))
@@ -468,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, DegenerateInputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ConvergenceError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except InconclusiveError as exc:

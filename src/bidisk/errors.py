@@ -6,7 +6,6 @@ __all__ = [
     "BidiskError",
     "ParseError",
     "DegenerateInputError",
-    "ConvergenceError",
     "NumericalError",
     "InconclusiveError",
 ]
@@ -31,15 +30,6 @@ class ParseError(BidiskError):
 class DegenerateInputError(BidiskError):
     """An operation received input outside its domain (e.g. a resultant in
     z2 of a polynomial that does not involve z2)."""
-
-
-class ConvergenceError(BidiskError):
-    """An iterative solver failed to converge.  ``iterates`` holds the last
-    state for post-mortem inspection."""
-
-    def __init__(self, message: str, iterates=None):
-        super().__init__(message)
-        self.iterates = iterates
 
 
 class NumericalError(BidiskError):

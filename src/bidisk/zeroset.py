@@ -7,12 +7,12 @@ modulus as p on the torus):
 1. monomial factors z1^a z2^b never vanish on the torus and are stripped;
 2. a polynomial in one variable only has zeros {rho} x T per circle root,
    so the verdict is Empty or Infinite outright;
-3. p proportional to p~ signals a curve of torus zeros (Infinite);
-4. the set is Empty when |p| at every node of the N x N grid of T^2
+3. the set is Empty when |p| at every node of the N x N grid of T^2
    exceeds what p can lose on the way to any torus point: each lies within
    pi/N of a node in both angles, so by the mean-value theorem |p| drops by
    at most (pi/N) sum (k + l)|c_kl| there, and N eps sum |c_kl| covers the
    FFT's rounding;
+4. p proportional to p~ signals a curve of torus zeros (Infinite);
 5. otherwise every torus zero is a common root of p and p~, so its first
    coordinate is a unit-circle root of Res_z2(p, p~); slicing p there and
    taking unit-circle roots in z2 yields finitely many verified candidates.
@@ -35,7 +35,7 @@ rests on two classical facts.
   angles, started from the smallest values of one FFT of p on the N x N
   grid of rT^2, and of p at the computed roots inside the region.
 
-N, here and in step 4, is ANGLES or, for higher degree, the power of two
+N, here and in step 3, is ANGLES or, for higher degree, the power of two
 at least four times the larger partial degree.  The search works on
 p / ||p||, so its tolerance is RESID_TOL itself, and reports moduli in p's
 own scale.
@@ -48,11 +48,11 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError
+from .errors import DegenerateInputError
 from .operators import reflect, slice_z1
 from .poly import Poly1, Poly2, _horner, _torus_samples, coeff_norm, proportional
 from .resultant import resultant_z2_detail
-from .rootfind import _significant, aberth_roots, roots_on_unit_circle
+from .rootfind import _significant, roots_on_unit_circle
 
 __all__ = [
     "TorusZeroClass",
@@ -162,12 +162,12 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     if m == 0:
         return _univariate_torus(Poly1(core.coeffs[0, :]), "z2")
 
+    if _torus_bounded_away(core):
+        return TorusZeroClass("empty")
     mirror = reflect(core)
     lam = proportional(core, mirror)
     if lam is not None:
         return TorusZeroClass("infinite", witness="proportional_reflection", witness_data=lam)
-    if _torus_bounded_away(core):
-        return TorusZeroClass("empty")
 
     detail = resultant_z2_detail(core, mirror)
     if detail.is_zero:
@@ -229,7 +229,7 @@ def _disk_flags(f: np.ndarray) -> np.ndarray:
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficients c, or none where Aberth fails.
+    """Roots of the ascending coefficients c.
 
     Negligible top coefficients are dropped as for circle roots: their
     roots lie far outside the disk.  The small bottom ones stay, since
@@ -237,10 +237,7 @@ def _roots(c: np.ndarray) -> np.ndarray:
     """
     if not c.any():
         return np.zeros(1, dtype=np.complex128)
-    try:
-        return aberth_roots(Poly1(c[: _significant(c)[-1] + 1]))
-    except ConvergenceError:
-        return np.zeros(0, dtype=np.complex128)
+    return np.roots(c[_significant(c)[-1] :: -1])
 
 
 # the damped step sizes 1, 1/2, ..., 2^-19
@@ -316,7 +313,8 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     z1, z2 = [roots], [np.zeros_like(roots)]
     for j in flagged[step // 2 :: step]:
         roots = rmax * _roots(fibres[:, j])
-        z1.append(np.full_like(roots, rmax * np.exp(2j * np.pi * j / size)))
+        # complex even where np.roots returns a real array (a monomial fibre)
+        z1.append(np.full(roots.shape, rmax * np.exp(2j * np.pi * j / size)))
         z2.append(roots)
     z1, z2 = np.concatenate(z1), np.concatenate(z2)
     inside = (np.abs(z1) <= rmax + 1e-12) & (np.abs(z2) <= rmax + 1e-12)

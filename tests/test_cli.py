@@ -406,11 +406,15 @@ def test_classify_factors_inconclusive_exit4(capsys):
 
 def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
     # as in test_zeros_inconclusive_exit4: the first factor's resultant is
-    # refused, which ends the run before the second factor
+    # refused, which ends the run before the second factor; the refused
+    # factor is not searched
     monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    searched = []
+    monkeypatch.setattr("bidisk.cli.bidisk_zero_search", searched.append)
     code, out, _ = run(
         capsys, "classify", "--factors", "2 - z1 - z2; 3 - z1 - z2", "--alpha", "1"
     )
+    assert searched == []
     assert code == 4
     doc = json.loads(out)
     assert doc["predicted"] is None
@@ -478,6 +482,16 @@ def test_qsmooth_complex_zero_syntax(capsys):
     )
     assert code == 0
     assert json.loads(out)["weighted_tail_ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_qsmooth_negative_zero_after_a_space(capsys):
+    # argparse reads "-1,-1" as an option unless it is glued to --zeros
+    args = ("qsmooth", "-p", "2 + z1 + z2", "--exponent", "1", "--grid", "64")
+    glued = run(capsys, *args, "--zeros=-1,-1")
+    spaced = run(capsys, *args, "--zeros", "-1,-1")
+    assert glued[0] == 0
+    assert spaced == glued
+    assert json.loads(spaced[1])["zeros"] == [[-1.0, 0.0, -1.0, 0.0]]
 
 
 # ------------------------------------------------------------- I/O wiring
@@ -744,8 +758,8 @@ def test_closed_pipe_ends_quietly(tmp_path):
 
 
 def test_zeros_with_negligible_trailing_coefficient(capsys):
-    # the root -1e-308 of 1e308 z1 + 1 is dropped before Aberth runs; the
-    # search certifies a zero within 1e-308 of it
+    # the root -1e-308 of 1e308 z1 + 1 is dropped before the circle roots
+    # are taken; the search certifies a zero within 1e-308 of it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "zeros", "-p", "1e308 z1 + 1")
@@ -769,7 +783,7 @@ def test_zeros_with_overflowing_coefficient_norm(capsys):
 
 
 def test_zeros_with_negligible_leading_coefficient(capsys):
-    # the root -1e320 of 1e-320 z1 + 1 is dropped before Aberth runs
+    # the root -1e320 of 1e-320 z1 + 1 is dropped before any roots are taken
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "zeros", "-p", "1e-320 z1 + 1")
