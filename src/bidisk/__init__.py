@@ -18,8 +18,6 @@ from . import (
     operators,
     poly,
     prooflab,
-    resultant,
-    rootfind,
     spaces,
     zeroset,
 )
@@ -30,8 +28,6 @@ from .expr import *
 from .operators import *
 from .poly import *
 from .prooflab import *
-from .resultant import *
-from .rootfind import *
 from .spaces import *
 from .zeroset import *
 
@@ -41,7 +37,7 @@ __all__ = sorted(
     name
     for module in (
         approximant, classify, errors, expr, operators, poly,
-        prooflab, resultant, rootfind, spaces, zeroset,
+        prooflab, spaces, zeroset,
     )
     for name in module.__all__
 )

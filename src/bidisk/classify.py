@@ -8,10 +8,11 @@ The decision rule, for p with no zeros inside the bidisk:
 
 A zero inside the open bidisk always defeats cyclicity.  The rule covers
 products through ``product_rule`` (a product is cyclic exactly when every
-factor is).  ``corroborate`` runs the full pipeline: zero search, torus
-classification, prediction, a distance scan with a decay label, and the
-evaluation lower bound, a gate on every scan row, when it applies; the
-report records whether the empirical label agrees with the prediction.
+factor is).  ``corroborate`` runs the full pipeline: torus
+classification, zero search, prediction, a distance scan with a decay
+label, and the evaluation lower bound, a gate on every scan row, when it
+applies; the report records whether the empirical label agrees with the
+prediction.  A refused torus class ends the run before the search.
 
 The one-variable case follows the same rule: a factor z - a with |a| = 1
 has a line of torus zeros (not cyclic once alpha > 1), while |a| > 1 keeps
@@ -122,8 +123,8 @@ def corroborate(
     an inconclusive label is consistent with either.  A distance below the
     evaluation bound (by over one part in 1e9) raises ``NumericalError``.
     """
-    bidisk = bidisk_zero_search(p)
     torus = torus_zeros(p)
+    bidisk = bidisk_zero_search(p)
     prediction = predict(p, alpha, torus, bidisk)
 
     scan = tuple(distance_scan(p, iso(alpha), n_max, family=family))

@@ -38,5 +38,5 @@ class NumericalError(BidiskError):
 
 
 class InconclusiveError(BidiskError):
-    """The computation cannot commit to a verdict at the configured
+    """The computation cannot commit to a verdict at the fixed
     tolerances.  Raised instead of guessing."""

@@ -13,7 +13,7 @@ coefficient vector.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,16 +22,10 @@ from .errors import DegenerateInputError
 __all__ = [
     "Poly1",
     "Poly2",
-    "proportional",
     "coeff_norm",
     "poly2_from_json_dict",
     "poly2_to_json_dict",
 ]
-
-
-# q = lambda p is accepted when q - lambda p stays below this share of the
-# larger coefficient; the torus classification's "infinite" verdict rests on it
-PROPORTIONAL_TOL = 1e-8
 
 
 def _as_grid(values) -> np.ndarray:
@@ -353,27 +347,6 @@ def coeff_norm(p) -> float:
     parts = p.coeffs.view(np.float64)
     _, e = np.frexp(np.abs(parts).max())
     return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(np.complex128)), e))
-
-
-def proportional(p: Poly2, q: Poly2) -> Optional[complex]:
-    """Return lambda with q = lambda * p (within PROPORTIONAL_TOL, relative),
-    else None.
-
-    The scale is read off at p's largest coefficient; the match is accepted
-    when the worst deviation of q - lambda*p stays below PROPORTIONAL_TOL
-    times the larger coefficient magnitude of the two sides.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("proportionality test requires nonzero polynomials")
-    if p.bidegree != q.bidegree:
-        return None
-    a, b = p.coeffs, q.coeffs
-    anchor = np.unravel_index(np.argmax(np.abs(a)), a.shape)
-    lam = b[anchor] / a[anchor]
-    scale = max(float(np.abs(b).max()), abs(lam) * float(np.abs(a).max()), 1e-300)
-    if float(np.abs(b - lam * a).max()) <= PROPORTIONAL_TOL * scale:
-        return complex(lam)
-    return None
 
 
 # ---------------------------------------------------------------------------

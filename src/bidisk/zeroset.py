@@ -12,10 +12,32 @@ modulus as p on the torus):
    pi/N of a node in both angles, so by the mean-value theorem |p| drops by
    at most (pi/N) sum (k + l)|c_kl| there, and N eps sum |c_kl| covers the
    FFT's rounding;
-4. p proportional to p~ signals a curve of torus zeros (Infinite);
+4. p proportional to p~, read off at p's largest coefficient and accepted
+   within PROPORTIONAL_TOL, signals a curve of torus zeros (Infinite);
 5. otherwise every torus zero is a common root of p and p~, so its first
    coordinate is a unit-circle root of Res_z2(p, p~); slicing p there and
    taking unit-circle roots in z2 yields finitely many verified candidates.
+
+   The resultant is computed by evaluation and interpolation: z1 is fixed
+   at the (D+1)-th roots of unity, where D bounds the z1-degree of the
+   Sylvester determinant, the numeric determinant of the Sylvester matrix
+   of the two z2-slices is taken at each node (LAPACK LU), and a discrete
+   Fourier transform recovers the coefficients.  It vanishes identically
+   exactly when p and p~ share a factor involving z2, which is declared
+   when every coefficient is below ZERO_REL_EPS times the product of the
+   input coefficient norms (Infinite).  Verdicts within INCONCLUSIVE_BAND
+   of that threshold are refused (InconclusiveError) rather than guessed,
+   and so are inputs whose Sylvester matrices would take more than
+   STACK_BYTES; determinants past the double range raise NumericalError.
+
+   Circle roots are the eigenvalues of the companion matrix (``np.roots``),
+   the exact roots of a polynomial whose coefficients differ from the
+   given ones by a small multiple of eps times their norm (Edelman and
+   Murakami 1995).  A multiple root, the typical case for resultants of
+   torus-zero polynomials, comes back as a tight cluster around it; the
+   roots within CIRCLE_TOL of the circle are merged within CLUSTER_TOL to
+   their means, and a mean is kept when its residual passes
+   CIRCLE_RESID_TOL.
 
 The bidisk search covers the closed polydisk of radius r = 1 - delta and
 rests on two classical facts.
@@ -48,24 +70,34 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InconclusiveError, NumericalError
 from .operators import reflect, slice_z1
-from .poly import Poly1, Poly2, _horner, _torus_samples, coeff_norm, proportional
-from .resultant import resultant_z2_detail
-from .rootfind import _significant, roots_on_unit_circle
+from .poly import Poly1, Poly2, _horner, _horner1, _torus_samples, coeff_norm
 
 __all__ = [
     "TorusZeroClass",
     "torus_zeros",
     "BidiskZeroReport",
     "bidisk_zero_search",
+    "proportional",
+    "resultant_z2",
+    "resultant_z2_detail",
+    "ResultantDetail",
+    "roots_on_unit_circle",
 ]
 
-# Fixed tolerances: a certified verdict ("zero_found", a torus class) rests
-# on them, so they are not open to callers.  RESID_TOL, relative to the
-# coefficient norm, certifies a zero both on the torus and in the bidisk.
-# The circle root tolerances are rootfind's, the reflection test's is poly's.
-RESID_TOL = 1e-8
+# Fixed tolerances and budgets: a certified verdict ("zero_found", a torus
+# class) rests on them, so they are not open to callers.  Residuals are
+# relative to the coefficient norm.  A resultant that is not zero has its
+# coefficients at most 1e-10 times its largest trimmed to 0.
+RESID_TOL = 1e-8  # |p| at a certified zero, on the torus and in the bidisk
+PROPORTIONAL_TOL = 1e-8  # p~ = lambda p within this share of the larger coefficient
+ZERO_REL_EPS = 1e-8  # the resultant is zero at most this times ||p|| ||p~||
+INCONCLUSIVE_BAND = 10.0  # a resultant above that threshold by less is refused
+STACK_BYTES = 1 << 29  # a resultant whose Sylvester matrices take more is refused
+CIRCLE_TOL = 1e-6  # a root this close to the unit circle is a candidate
+CLUSTER_TOL = 1e-5  # candidates this close to a cluster's mean join it
+CIRCLE_RESID_TOL = 1e-10  # a cluster mean with this residual is a circle root
 
 # The bidisk search: the polydisk of radius 1 - DELTA, at least ANGLES
 # points per circle, NEWTON_STEPS Gauss-Newton steps on the torus.
@@ -128,6 +160,189 @@ def _torus_bounded_away(core: Poly2) -> bool:
     slope = np.pi / size * np.sum(mod * np.add.outer(np.arange(m + 1), np.arange(n + 1)))
     rounding = size * np.finfo(np.float64).eps * mod.sum()
     return np.abs(_torus_samples(c, size)).min() > slope + rounding
+
+
+def proportional(p: Poly2, q: Poly2) -> Optional[complex]:
+    """Return lambda with q = lambda * p (within PROPORTIONAL_TOL, relative),
+    else None.
+
+    The scale is read off at p's largest coefficient; the match is accepted
+    when the worst deviation of q - lambda*p stays below PROPORTIONAL_TOL
+    times the larger coefficient magnitude of the two sides.
+    """
+    if p.is_zero or q.is_zero:
+        raise ValueError("proportionality test requires nonzero polynomials")
+    if p.bidegree != q.bidegree:
+        return None
+    a, b = p.coeffs, q.coeffs
+    anchor = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    lam = b[anchor] / a[anchor]
+    scale = max(float(np.abs(b).max()), abs(lam) * float(np.abs(a).max()), 1e-300)
+    if float(np.abs(b - lam * a).max()) <= PROPORTIONAL_TOL * scale:
+        return complex(lam)
+    return None
+
+
+@dataclass(frozen=True)
+class ResultantDetail:
+    """Raw interpolation output plus the zero-test bookkeeping."""
+
+    coeffs: np.ndarray  # ascending in z1, untrimmed
+    max_coeff: float
+    zero_threshold: float
+
+    @property
+    def is_zero(self) -> bool:
+        return self.max_coeff <= self.zero_threshold
+
+    def trimmed(self) -> Poly1:
+        """The resultant with coefficients at most 1e-10 * max_coeff zeroed."""
+        c = self.coeffs.copy()
+        c[np.abs(c) <= 1e-10 * self.max_coeff] = 0.0
+        return Poly1(c)
+
+
+def _sylvester_stack(pvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
+    """Stack of Sylvester matrices, one per evaluation node.
+
+    pvals, qvals: (nodes, n1+1) and (nodes, n2+1) slice coefficients in z2,
+    ascending.  Rows hold descending coefficients in the classical layout:
+    n2 rows of p, then n1 rows of q.
+    """
+    nodes = pvals.shape[0]
+    n1 = pvals.shape[1] - 1
+    n2 = qvals.shape[1] - 1
+    size = n1 + n2
+    s = np.zeros((nodes, size, size), dtype=np.complex128)
+    pdesc = pvals[:, ::-1]
+    qdesc = qvals[:, ::-1]
+    for r in range(n2):
+        s[:, r, r : r + n1 + 1] = pdesc
+    for r in range(n1):
+        s[:, n2 + r, r : r + n2 + 1] = qdesc
+    return s
+
+
+def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
+    """Res_{z2}(p, q) by interpolation, untrimmed, with its zero test.
+
+    Raises InconclusiveError when the largest coefficient lands above the
+    zero threshold but within INCONCLUSIVE_BAND of it, where neither
+    verdict would be trustworthy, or when the Sylvester matrices would take
+    more than STACK_BYTES.
+    """
+    m1, n1 = p.bidegree
+    m2, n2 = q.bidegree
+    if n1 == 0 or n2 == 0:
+        raise DegenerateInputError("resultant in z2 needs both inputs to involve z2")
+    bound = m1 * n2 + m2 * n1
+    nodes = bound + 1
+    need = nodes * (n1 + n2) ** 2 * np.dtype(np.complex128).itemsize
+    if need > STACK_BYTES:
+        raise InconclusiveError(
+            f"resultant refused: its {nodes} Sylvester matrices of size {n1 + n2} "
+            f"take {need / 2**30:.3g} GiB, above the {STACK_BYTES / 2**30:g} GiB budget"
+        )
+    omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    # z2-slice coefficients at each node: node x (n+1) arrays
+    v1 = np.power(omega[:, None], np.arange(m1 + 1)[None, :])
+    v2 = np.power(omega[:, None], np.arange(m2 + 1)[None, :])
+    pvals = v1 @ p.coeffs
+    qvals = v2 @ q.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(_sylvester_stack(pvals, qvals))
+        coeffs = np.fft.fft(dets) / nodes
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError(
+            f"resultant overflows the double range: its {nodes} Sylvester determinants "
+            f"of size {n1 + n2} are not all finite"
+        )
+    threshold = float(ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q))
+    max_coeff = float(np.abs(coeffs).max())
+    if threshold < max_coeff <= INCONCLUSIVE_BAND * threshold:
+        raise InconclusiveError(
+            f"resultant refused: its largest coefficient {max_coeff:.3e} sits within "
+            f"{INCONCLUSIVE_BAND:g}x of the zero threshold {threshold:.3e}"
+        )
+    return ResultantDetail(coeffs=coeffs, max_coeff=max_coeff, zero_threshold=threshold)
+
+
+def resultant_z2(p: Poly2, q: Poly2) -> Poly1:
+    """Res_{z2}(p, q) as a polynomial in z1.
+
+    Returns the zero polynomial when the inputs share a z2-involving factor;
+    refuses as resultant_z2_detail does.
+    """
+    detail = resultant_z2_detail(p, q)
+    if detail.is_zero:
+        return Poly1.zero()
+    return detail.trimmed()
+
+
+def _collapse_clusters(points: np.ndarray, radius: float) -> np.ndarray:
+    """Greedy merge of points closer than radius; clusters become their mean."""
+    remaining = list(points)
+    out = []
+    while remaining:
+        seed = remaining.pop(0)
+        cluster = [seed]
+        changed = True
+        while changed:
+            changed = False
+            keep = []
+            centre = np.mean(cluster)
+            for q in remaining:
+                if abs(q - centre) <= radius:
+                    cluster.append(q)
+                    changed = True
+                else:
+                    keep.append(q)
+            remaining = keep
+        out.append(np.mean(cluster))
+    return np.asarray(out, dtype=np.complex128)
+
+
+def _significant(c: np.ndarray) -> np.ndarray:
+    """Indices of the coefficients c_k with |c_k| > eps * max|c|."""
+    mags = np.abs(c)
+    return np.nonzero(mags > np.finfo(np.float64).eps * mags.max())[0]
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of the ascending coefficients c.
+
+    Negligible top coefficients are dropped as for circle roots: their
+    roots lie far outside the disk.  The small bottom ones stay, since
+    their roots lie near 0.  A vanishing c has 0 for its root.
+    """
+    if not c.any():
+        return np.zeros(1, dtype=np.complex128)
+    return np.roots(c[_significant(c)[-1] :: -1])
+
+
+def roots_on_unit_circle(r: Poly1) -> list[complex]:
+    """Distinct roots rho of r with | |rho| - 1 | <= CIRCLE_TOL.
+
+    Each reported root satisfies |r(rho)| <= CIRCLE_RESID_TOL * ||r||_coeff
+    after cluster collapsing.  Degree-zero polynomials have no roots.
+
+    Trailing coefficients with |c_k| <= eps * max|c| are dropped here,
+    leading ones by _roots: on the circle they move r by far less than
+    CIRCLE_RESID_TOL, and the roots they add lie far from it: near 0
+    (trailing) or far out (leading).
+    """
+    if r.is_zero:
+        raise DegenerateInputError("root finding needs a nonzero polynomial")
+    roots = _roots(r.coeffs[_significant(r.coeffs)[0] :])
+    near = roots[np.abs(np.abs(roots) - 1.0) <= CIRCLE_TOL]
+    if near.size == 0:
+        return []
+    merged = _collapse_clusters(near, CLUSTER_TOL)
+    scale = coeff_norm(r)
+    vals = np.abs(_horner1(r.coeffs, merged))
+    good = merged[vals <= CIRCLE_RESID_TOL * scale]
+    order = np.argsort(np.angle(good) % (2.0 * np.pi))
+    return [complex(v) for v in good[order]]
 
 
 def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
@@ -226,18 +441,6 @@ def _disk_flags(f: np.ndarray) -> np.ndarray:
         f = np.multiply(f[:-1], np.conj(a) / s / s)
         f -= g
     return hit
-
-
-def _roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficients c.
-
-    Negligible top coefficients are dropped as for circle roots: their
-    roots lie far outside the disk.  The small bottom ones stay, since
-    their roots lie near 0.  A vanishing c has 0 for its root.
-    """
-    if not c.any():
-        return np.zeros(1, dtype=np.complex128)
-    return np.roots(c[_significant(c)[-1] :: -1])
 
 
 # the damped step sizes 1, 1/2, ..., 2^-19

@@ -218,32 +218,29 @@ def test_zeros_zero_free_reports_its_search_grid(capsys):
     }
 
 
+# every subcommand once with each form of the removed tolerance options
+_SUBCOMMANDS = [
+    ("zeros", "-p", "3 - z1 - z2"),
+    ("classify", "-p", "3 - z1 - z2", "--alpha", "3"),
+    ("qsmooth", "-p", "3 - z1 - z2", "--exponent", "0", "--grid", "64"),
+    ("norm", "-p", "3 - z1 - z2", "--alpha", "1"),
+    ("opa", "-p", "3 - z1 - z2", "--alpha", "1", "--nmax", "2"),
+    ("scan", "-p", "3 - z1 - z2", "--alpha", "1", "--nmax", "2"),
+    ("recurrence", "-p", "1", "--kmax", "1", "--lmax", "1"),
+]
+_REMOVED_OPTIONS = [("--set", "resid_tol=10"), ("--config", "f.json"), ("--resid-tol", "1")]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("zeros", "-p", "3 - z1 - z2", "--set", "resid_tol=10"),
-        ("zeros", "-p", "3 - z1 - z2", "--set", "circle_tol=0.9", "--set", "resid_tol=1"),
-        ("classify", "-p", "3 - z1 - z2", "--alpha", "3", "--set", "resid_tol=10"),
-        ("qsmooth", "-p", "3 - z1 - z2", "--exponent", "0", "--grid", "64", "--resid-tol", "1"),
-    ],
+    "argv", [command + option for command in _SUBCOMMANDS for option in _REMOVED_OPTIONS]
 )
 def test_tolerance_override_is_refused(capsys, argv):
-    # a loosened tolerance once certified a zero of this zero-free polynomial
+    # a loosened tolerance once certified a zero of this zero-free polynomial;
+    # the flag is refused before any value or file is read
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "unrecognized arguments" in err
-
-
-def test_config_file_is_refused(capsys, tmp_path):
-    cfg = tmp_path / "f.json"
-    cfg.write_text(json.dumps({"resid_tol": 10}))
-    code, out, err = run(
-        capsys, "classify", "-p", "3 - z1 - z2", "--alpha", "3", "--config", str(cfg)
-    )
-    assert code == 1
-    assert out == ""
-    assert "unrecognized arguments: --config" in err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 # The cases below are the out-of-range settings a range check once answered
@@ -310,7 +307,7 @@ def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
     # a zero threshold of 1.2 puts the resultant's max 4 within 10x of it
-    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
     code, out, _ = run(capsys, "zeros", "-p", "2 - z1 - z2")
     assert code == 4
     doc = json.loads(out)
@@ -408,7 +405,7 @@ def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
     # as in test_zeros_inconclusive_exit4: the first factor's resultant is
     # refused, which ends the run before the second factor; the refused
     # factor is not searched
-    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
     searched = []
     monkeypatch.setattr("bidisk.cli.bidisk_zero_search", searched.append)
     code, out, _ = run(
@@ -422,6 +419,20 @@ def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
     assert set(factor) == {"polynomial", "inconclusive"}
     assert factor["polynomial"] == poly2_to_json_dict(parse_polynomial("2 - z1 - z2"))
     assert "4.000e+00" in factor["inconclusive"] and "1.200e+00" in factor["inconclusive"]
+
+
+def test_classify_torus_refused_exit4(capsys, monkeypatch):
+    # as above, for one polynomial: the refused torus class ends the run
+    # before the search
+    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
+    searched = []
+    monkeypatch.setattr("bidisk.classify.bidisk_zero_search", searched.append)
+    code, out, _ = run(capsys, "classify", "-p", "2 - z1 - z2", "--alpha", "1")
+    assert searched == []
+    assert code == 4
+    doc = json.loads(out)
+    assert set(doc) == {"polynomial", "alpha", "inconclusive"}
+    assert "4.000e+00" in doc["inconclusive"] and "1.200e+00" in doc["inconclusive"]
 
 
 # ----------------------------------------------------- recurrence, qsmooth
@@ -568,21 +579,6 @@ def test_exit_unwritable_qhat_csv(capsys, tmp_path):
 
 def test_exit_usage_no_command(capsys):
     assert run(capsys, )[0] == 1
-
-
-def test_exit_usage_unknown_config_key(capsys):
-    code, _, err = run(
-        capsys, "zeros", "-p", "1 - z1", "--set", "bogus=1"
-    )
-    assert code == 1
-    assert "unrecognized arguments: --set bogus=1" in err
-
-
-def test_exit_usage_set_without_value(capsys):
-    code, out, err = run(capsys, "zeros", "-p", "1 - z1", "--set", "radii")
-    assert code == 1
-    assert out == ""
-    assert "unrecognized arguments: --set radii" in err
 
 
 def test_exit_usage_poly_conflict(capsys, tmp_path):

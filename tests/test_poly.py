@@ -11,8 +11,8 @@ from bidisk.poly import (
     coeff_norm,
     poly2_from_json_dict,
     poly2_to_json_dict,
-    proportional,
 )
+from bidisk.zeroset import proportional
 from conftest import MALFORMED_POLY_JSON, random_bidisk_points, random_poly
 
 

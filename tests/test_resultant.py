@@ -4,7 +4,7 @@ import pytest
 from bidisk.errors import DegenerateInputError
 from bidisk.expr import parse_polynomial as P
 from bidisk.poly import Poly1, coeff_norm
-from bidisk.resultant import resultant_z2, resultant_z2_detail
+from bidisk.zeroset import resultant_z2, resultant_z2_detail
 from conftest import random_poly
 
 
@@ -111,7 +111,7 @@ def test_near_threshold_is_refused_once_for_every_caller(monkeypatch):
     from bidisk.operators import reflect
     from bidisk.zeroset import torus_zeros
 
-    monkeypatch.setattr("bidisk.resultant.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
     p = P("2 - z1 - z2")
     messages = set()
     for call in (

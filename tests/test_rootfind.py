@@ -5,7 +5,7 @@ import pytest
 
 from bidisk.errors import DegenerateInputError
 from bidisk.poly import Poly1
-from bidisk.rootfind import roots_on_unit_circle
+from bidisk.zeroset import roots_on_unit_circle
 
 
 def test_double_root_collapsed():
@@ -29,13 +29,13 @@ def test_plus_minus_i():
     assert roots[1] == pytest.approx(-1j, abs=1e-9)
 
 
-def test_aberth_handles_origin_roots():
+def test_trailing_zeros_drop_the_origin_roots():
     # z^3 (z - 1): the origin roots are dropped with the trailing zeros
     r = Poly1(np.array([0.0, 0.0, 0.0, -1.0, 1.0]))
     assert roots_on_unit_circle(r) == [1.0]
 
 
-def test_aberth_roots_of_unity():
+def test_eighth_roots_of_unity_sorted_by_angle():
     # z^8 - 1, all roots on the circle
     c = np.zeros(9)
     c[0] = -1.0
@@ -90,14 +90,13 @@ def test_negligible_leading_coefficients_are_dropped():
         assert roots_on_unit_circle(Poly1([1e-18, -1.0, 1.0])) == [1.0]
 
 
-def test_estimate_far_out_converges():
+def test_degree_218_resultant_has_no_circle_roots():
     # the resultant of this zero-free dense polynomial of bidegree 12 with
-    # its reflection has degree 218 and coefficients up to 1e59, and roots
-    # far out where p and p' overflow
+    # its reflection has degree 218, coefficients up to 1e59 and roots far
+    # out; none of them is on the circle, and none raises a warning
     from bidisk.operators import reflect
     from bidisk.poly import Poly2
-    from bidisk.resultant import resultant_z2_detail
-    from bidisk.zeroset import torus_zeros
+    from bidisk.zeroset import resultant_z2_detail, torus_zeros
 
     rng = np.random.default_rng(897)
     c = rng.standard_normal((13, 13)) + 1j * rng.standard_normal((13, 13))

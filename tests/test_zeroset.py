@@ -17,8 +17,7 @@ from bidisk import (
 from bidisk import zeroset
 from bidisk.errors import DegenerateInputError
 from bidisk.poly import coeff_norm
-from bidisk.rootfind import CIRCLE_TOL
-from bidisk.zeroset import DELTA, RESID_TOL
+from bidisk.zeroset import CIRCLE_TOL, DELTA, RESID_TOL
 
 P = parse_polynomial
 
