@@ -581,6 +581,21 @@ def test_exit_usage_no_command(capsys):
     assert run(capsys, )[0] == 1
 
 
+def test_exit_usage_unknown_config_key(capsys):
+    code, _, err = run(
+        capsys, "zeros", "-p", "1 - z1", "--set", "bogus=1"
+    )
+    assert code == 1
+    assert "unrecognized arguments: --set bogus=1" in err
+
+
+def test_exit_usage_set_without_value(capsys):
+    code, out, err = run(capsys, "zeros", "-p", "1 - z1", "--set", "radii")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --set radii" in err
+
+
 def test_exit_usage_poly_conflict(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(poly2_to_json_dict(parse_polynomial("1"))))
