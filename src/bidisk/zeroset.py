@@ -15,8 +15,11 @@ modulus as p on the torus):
 4. p proportional to p~, read off at p's largest coefficient and accepted
    within PROPORTIONAL_TOL, signals a curve of torus zeros (Infinite);
 5. otherwise every torus zero is a common root of p and p~, so its first
-   coordinate is a unit-circle root of Res_z2(p, p~); slicing p there and
-   taking unit-circle roots in z2 yields finitely many verified candidates.
+   coordinate rho is a circle root of Res_z2(p, p~).  A Gauss-Newton
+   descent on T^2 from rho and each root cluster of the slice p(rho, .)
+   ends at a zero when |p| there is within the rounding of evaluating it,
+   2 (m + n + 2) eps sum |c_kl| for ||p|| = 1; it is a zero already kept
+   when |p| at their angular midpoint is within that bound too.
 
    The resultant is computed by evaluation and interpolation: z1 is fixed
    at the (D+1)-th roots of unity, where D bounds the z1-degree of the
@@ -30,14 +33,10 @@ modulus as p on the torus):
    and so are inputs whose Sylvester matrices would take more than
    STACK_BYTES; determinants past the double range raise NumericalError.
 
-   Circle roots are the eigenvalues of the companion matrix (``np.roots``),
-   the exact roots of a polynomial whose coefficients differ from the
-   given ones by a small multiple of eps times their norm (Edelman and
-   Murakami 1995).  A multiple root, the typical case for resultants of
-   torus-zero polynomials, comes back as a tight cluster around it; the
-   roots within CIRCLE_TOL of the circle are merged within CLUSTER_TOL to
-   their means, and a mean is kept when its residual passes
-   CIRCLE_RESID_TOL.
+   Roots come from ``np.roots``.  A circle root is a cluster of their
+   overlapping Carstensen inclusion discs that meets T, at its mean
+   projected onto T, so a multiple root, typical of these resultants,
+   counts once.
 
 The bidisk search covers the closed polydisk of radius r = 1 - delta and
 rests on two classical facts.
@@ -48,9 +47,10 @@ rests on two classical facts.
   number of zeros of p(., z2) inside D_r is the same for every z2 in D_r,
   and it is that of the slice p(., 0).  So the search flags, by the
   Schur-Cohn recursion, the fibres over N ring points that have a zero in
-  D_r, and takes the roots of a few flagged fibres and of the slice.  A
-  computed root inside the region whose |p| passes RESID_TOL is the only
-  witness of "zero_found".
+  D_r, and takes the roots of a few flagged fibres and of both axis
+  slices p(., 0) and p(0, .).  A computed root inside the region whose |p|
+  passes RESID_TOL witnesses "zero_found", and so does an axis root
+  cluster beyond r whose inclusion discs lie in the open unit disk.
 * A zero-free p takes its smallest modulus on the polydisk on the torus
   rT^2 (the minimum modulus principle, once per variable).  So
   "min_modulus" is the least |p| of a Gauss-Newton descent in the two
@@ -90,14 +90,11 @@ __all__ = [
 # class) rests on them, so they are not open to callers.  Residuals are
 # relative to the coefficient norm.  A resultant that is not zero has its
 # coefficients at most 1e-10 times its largest trimmed to 0.
-RESID_TOL = 1e-8  # |p| at a certified zero, on the torus and in the bidisk
+RESID_TOL = 1e-8  # |p| at a certified bidisk zero; a smaller slice is a line factor
 PROPORTIONAL_TOL = 1e-8  # p~ = lambda p within this share of the larger coefficient
 ZERO_REL_EPS = 1e-8  # the resultant is zero at most this times ||p|| ||p~||
 INCONCLUSIVE_BAND = 10.0  # a resultant above that threshold by less is refused
 STACK_BYTES = 1 << 29  # a resultant whose Sylvester matrices take more is refused
-CIRCLE_TOL = 1e-6  # a root this close to the unit circle is a candidate
-CLUSTER_TOL = 1e-5  # candidates this close to a cluster's mean join it
-CIRCLE_RESID_TOL = 1e-10  # a cluster mean with this residual is a circle root
 
 # The bidisk search: the polydisk of radius 1 - DELTA, at least ANGLES
 # points per circle, NEWTON_STEPS Gauss-Newton steps on the torus.
@@ -279,29 +276,6 @@ def resultant_z2(p: Poly2, q: Poly2) -> Poly1:
     return detail.trimmed()
 
 
-def _collapse_clusters(points: np.ndarray, radius: float) -> np.ndarray:
-    """Greedy merge of points closer than radius; clusters become their mean."""
-    remaining = list(points)
-    out = []
-    while remaining:
-        seed = remaining.pop(0)
-        cluster = [seed]
-        changed = True
-        while changed:
-            changed = False
-            keep = []
-            centre = np.mean(cluster)
-            for q in remaining:
-                if abs(q - centre) <= radius:
-                    cluster.append(q)
-                    changed = True
-                else:
-                    keep.append(q)
-            remaining = keep
-        out.append(np.mean(cluster))
-    return np.asarray(out, dtype=np.complex128)
-
-
 def _significant(c: np.ndarray) -> np.ndarray:
     """Indices of the coefficients c_k with |c_k| > eps * max|c|."""
     mags = np.abs(c)
@@ -309,73 +283,89 @@ def _significant(c: np.ndarray) -> np.ndarray:
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the ascending coefficients c.
-
-    Negligible top coefficients are dropped as for circle roots: their
-    roots lie far outside the disk.  The small bottom ones stay, since
-    their roots lie near 0.  A vanishing c has 0 for its root.
+    """Roots of the ascending coefficients c, negligible top ones dropped
+    (their roots lie far out), but not bottom ones (their roots lie near 0).
+    A vanishing c has 0 for its root.
     """
     if not c.any():
         return np.zeros(1, dtype=np.complex128)
     return np.roots(c[_significant(c)[-1] :: -1])
 
 
-def roots_on_unit_circle(r: Poly1) -> list[complex]:
-    """Distinct roots rho of r with | |rho| - 1 | <= CIRCLE_TOL.
+def _clusters(c: np.ndarray) -> list[tuple[complex, np.ndarray, np.ndarray]]:
+    """Groups of the roots of the ascending coefficients c, its negligible
+    ends (at most eps * max|c|) dropped: each group's mean of the np.roots
+    estimates, and its disc centres and radii.
 
-    Each reported root satisfies |r(rho)| <= CIRCLE_RESID_TOL * ||r||_coeff
-    after cluster collapsing.  Degree-zero polynomials have no roots.
-
-    Trailing coefficients with |c_k| <= eps * max|c| are dropped here,
-    leading ones by _roots: on the circle they move r by far less than
-    CIRCLE_RESID_TOL, and the roots they add lie far from it: near 0
-    (trailing) or far out (leading).
+    Estimate z_i of a root of degree d gets radius d |W_i|, with Weierstrass
+    correction W_i = c(z_i) / (lc prod_{j != i} (z_i - z_j)) and |c(z_i)|
+    widened by Horner's rounding bound 2 d eps sum |c_k| |z_i|^k.  For
+    distinct z_i, a connected union of k discs that misses the others holds
+    exactly k roots (Carstensen, Numer. Math. 1991); the groups are those
+    unions.  np.roots may return a k-fold root as k estimates far closer
+    than rounding splits it, so each group of k is spread over the circle
+    on which k roots leave its residual, for the discs.  Beyond the unit
+    circle c is evaluated reversed at 1 / z_i, in logarithms.
     """
+    keep = _significant(c)
+    c = c[keep[0] : keep[-1] + 1]
+    d = c.size - 1
+
+    def discs(z):  # the discs of the estimates z, and their groups
+        out = np.abs(z) > 1.0
+        w = np.where(out, 1.0 / np.where(out, z, 1.0), z)
+        a = np.where(out[:, None], c[::-1], c).T
+        r = np.abs(_horner1(a, w)) + 2 * d * np.finfo(np.float64).eps * _horner1(np.abs(a), np.abs(w)).real
+        log_r = np.log(r) + d * np.log(np.maximum(np.abs(z), 1.0)) - np.log(np.abs(c[-1]))
+        gap = np.abs(np.subtract.outer(z, z))
+        radii = d * np.exp(log_r - np.log(gap + np.eye(d)).sum(axis=1))
+        label, touch = np.arange(d), gap <= np.add.outer(radii, radii)
+        while (label != (label := np.where(touch, label, d).min(axis=1, initial=d))).any():
+            pass
+        return log_r, gap, radii, label[:, None] == label
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = centres = np.roots(c[::-1])
+        log_r, gap, radii, same = discs(z)
+        k = same.sum(axis=1)
+        if (k > 1).any():
+            log_s = (log_r - np.log(np.where(same, 1.0, gap)).sum(axis=1)) / k
+            turn = np.exp(log_s + 2j * np.pi * np.tril(same, -1).sum(axis=1) / k)
+            centres = np.where(k > 1, same @ z / k + turn, z)
+            log_r, gap, radii, same = discs(centres)
+    return [(z[g].mean(), centres[g], radii[g]) for g in np.unique(same, axis=0)]
+
+
+def roots_on_unit_circle(r: Poly1) -> list[complex]:
+    """The root clusters of r whose inclusion discs meet the unit circle, as
+    their means projected onto it, sorted by angle; a constant has none."""
     if r.is_zero:
         raise DegenerateInputError("root finding needs a nonzero polynomial")
-    roots = _roots(r.coeffs[_significant(r.coeffs)[0] :])
-    near = roots[np.abs(np.abs(roots) - 1.0) <= CIRCLE_TOL]
-    if near.size == 0:
-        return []
-    merged = _collapse_clusters(near, CLUSTER_TOL)
-    scale = coeff_norm(r)
-    vals = np.abs(_horner1(r.coeffs, merged))
-    good = merged[vals <= CIRCLE_RESID_TOL * scale]
-    order = np.argsort(np.angle(good) % (2.0 * np.pi))
-    return [complex(v) for v in good[order]]
-
-
-def _univariate_torus(coeffs: Poly1, variable: str) -> TorusZeroClass:
-    roots = roots_on_unit_circle(coeffs)
-    if not roots:
-        return TorusZeroClass("empty")
-    return TorusZeroClass(
-        "infinite",
-        witness="univariate_circle_roots",
-        witness_data=(variable, tuple(roots)),
-    )
+    means = [complex(m / abs(m)) for m, z, rad in _clusters(r.coeffs) if (np.abs(np.abs(z) - 1) <= rad).any()]
+    return sorted(means, key=lambda v: np.angle(v) % (2.0 * np.pi))
 
 
 def torus_zeros(p: Poly2) -> TorusZeroClass:
     """Classify the zero set of p on the unit torus.
 
     An input whose modulus on one FFT grid of the torus proves it
-    zero-free there reads "empty" without the resultant.  Raises
-    InconclusiveError when the resultant's zero test lands too close to its
-    threshold to commit or the resultant is too large to compute, and
-    DegenerateInputError for the zero polynomial.
+    zero-free there reads "empty" without the resultant.  A tangent torus
+    point, where |p| grows like the squared distance, is located to about
+    sqrt(eps): the descent stops there.  Raises InconclusiveError when the
+    resultant's zero test lands too close to its threshold to commit or the
+    resultant is too large to compute, and DegenerateInputError for the
+    zero polynomial.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
     core = _strip_monomial(p)
     m, n = core.bidegree
-    if m == 0 and n == 0:
-        # a pure monomial times a constant never vanishes on the torus
-        return TorusZeroClass("empty")
-    if n == 0:
-        return _univariate_torus(Poly1(core.coeffs[:, 0]), "z1")
-    if m == 0:
-        return _univariate_torus(Poly1(core.coeffs[0, :]), "z2")
+    if m == 0 or n == 0:  # a constant has no circle roots
+        variable, coeffs = ("z1", core.coeffs[:, 0]) if n == 0 else ("z2", core.coeffs[0, :])
+        roots = tuple(roots_on_unit_circle(Poly1(coeffs)))
+        if not roots:
+            return TorusZeroClass("empty")
+        return TorusZeroClass("infinite", witness="univariate_circle_roots", witness_data=(variable, roots))
 
     if _torus_bounded_away(core):
         return TorusZeroClass("empty")
@@ -387,22 +377,26 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     detail = resultant_z2_detail(core, mirror)
     if detail.is_zero:
         return TorusZeroClass("infinite", witness="vanishing_resultant")
-    res = detail.trimmed()
     scale = coeff_norm(core)
-    points: list[tuple[complex, complex]] = []
-    for rho in roots_on_unit_circle(res):
+    starts = []
+    for rho in roots_on_unit_circle(detail.trimmed()):
         sl = slice_z1(core, rho)
         if np.abs(sl.coeffs).max() <= RESID_TOL * scale:
-            return TorusZeroClass(
-                "infinite", witness="line_factor", witness_data=("z1", rho)
-            )
-        for sigma in roots_on_unit_circle(sl):
-            if abs(core.evaluate(rho, sigma)) <= RESID_TOL * scale:
-                points.append((rho, sigma))
+            return TorusZeroClass("infinite", witness="line_factor", witness_data=("z1", rho))
+        starts += [(rho, mean) for mean, _, _ in _clusters(sl.coeffs)]
+    c = core.coeffs / scale
+    bound = 2 * sum(c.shape) * np.finfo(np.float64).eps * np.abs(c).sum()
+    theta = np.angle(np.array(starts, dtype=np.complex128).reshape(-1, 2))
+    end = _torus_descent(c, theta, 1.0)
+    points: list[np.ndarray] = []
+    for z, v in zip(np.exp(1j * theta), end):
+        mids = [k * np.exp(0.5j * np.angle(z * np.conj(k))) for k in points]
+        if v <= bound and not any(abs(_horner(c, *h)) <= bound for h in mids):
+            points.append(z)
     if not points:
         return TorusZeroClass("empty")
-    points.sort(key=lambda zz: (np.angle(zz[0]) % (2.0 * np.pi), np.angle(zz[1]) % (2.0 * np.pi)))
-    return TorusZeroClass("finite", points=tuple(points))
+    points.sort(key=lambda zz: tuple(np.angle(zz) % (2.0 * np.pi)))
+    return TorusZeroClass("finite", points=tuple((complex(a), complex(b)) for a, b in points))
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +441,23 @@ def _disk_flags(f: np.ndarray) -> np.ndarray:
 _DAMPING = 0.5 ** np.arange(20)
 
 
-def _torus_descent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Damped Gauss-Newton on |p| over the torus of radius 1 - DELTA, in the
-    angles theta (starts x 2) of every start at once.  Returns |p| at the
-    final points.
+def _torus_descent(c: np.ndarray, theta: np.ndarray, radius: float) -> np.ndarray:
+    """Damped Gauss-Newton on |p| over the torus of the given radius, in the
+    angles theta (starts x 2) of every start at once, which it moves to the
+    final points.  Returns |p| there.
 
     A step solves the 2 x 2 real least-squares problem of p's linearisation
     in the two angles and moves a start by the first damped step that
-    lowers |p|; p and its angle gradient come from one stacked Horner.  A
-    start stops when its gradient vanishes (its square underflows) or no
-    damping lowers |p|.
+    lowers |p|, tried on p alone; p and its angle gradient at the new point
+    come from one stacked Horner.  A start stops when its gradient vanishes
+    (its square underflows) or no damping lowers |p|.
     """
     m, n = c.shape[0] - 1, c.shape[1] - 1
     p = Poly2(c)
     stack = np.stack([c, p.derivative(1).padded(m, n), p.derivative(2).padded(m, n)])
-    rmax = 1.0 - DELTA
 
     def at(angles):
-        z = rmax * np.exp(1j * angles)
+        z = radius * np.exp(1j * angles)
         val, d1, d2 = _horner(stack, z[..., 0], z[..., 1])
         return val, np.stack([1j * z[..., 0] * d1, 1j * z[..., 1] * d2], axis=-1)
 
@@ -479,22 +472,23 @@ def _torus_descent(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
         res = np.stack([val[i].real, val[i].imag], axis=-1)
         step = (np.linalg.pinv(jac) @ res[:, :, None])[:, :, 0]
         trial = theta[i, None] - _DAMPING[:, None] * step[:, None]
-        tv, tg = at(trial)
+        tv = _horner(c, *np.moveaxis(radius * np.exp(1j * trial), -1, 0))
         lower = np.abs(tv) < np.abs(val[i])[:, None]
         moved = lower.any(axis=1)
         live[i[~moved]] = False
-        first = lower.argmax(axis=1)[moved]
-        i = i[moved]
-        theta[i], val[i], grad[i] = trial[moved, first], tv[moved, first], tg[moved, first]
+        i, first = i[moved], lower.argmax(axis=1)[moved]
+        theta[i] = trial[moved, first]
+        val[i], grad[i] = at(theta[i])
     return np.abs(val)
 
 
 def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     """Zero search on the closed polydisk of radius 1 - delta.
 
-    "zero_found" is certified: a computed root of a boundary fibre or of
-    the slice p(., 0), inside the region, where |p| is at most RESID_TOL
-    times the coefficient norm.  "none_found_heuristic" reports the
+    "zero_found" is certified: a computed root of a boundary fibre or of an
+    axis slice, inside the region, where |p| is at most RESID_TOL times the
+    coefficient norm, or the mean of an axis root cluster whose inclusion
+    discs lie in the open unit disk.  "none_found_heuristic" reports the
     smallest modulus seen and is not a proof of nonvanishing.
     """
     if p.is_zero:
@@ -512,8 +506,8 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     fibres = np.fft.ifft(shrunk.T, n=size, norm="forward")
     flagged = np.flatnonzero(_disk_flags(fibres))
     step = max(1, -(-flagged.size // 8))
-    roots = _roots(c[:, 0])
-    z1, z2 = [roots], [np.zeros_like(roots)]
+    axes = _roots(c[:, 0]), _roots(c[0, :])
+    z1, z2 = [axes[0], np.zeros_like(axes[1])], [np.zeros_like(axes[0]), axes[1]]
     for j in flagged[step // 2 :: step]:
         roots = rmax * _roots(fibres[:, j])
         # complex even where np.roots returns a real array (a monomial fibre)
@@ -526,10 +520,16 @@ def bidisk_zero_search(p: Poly2) -> BidiskZeroReport:
     if vals.size and vals.min() <= RESID_TOL:
         w = vals.argmin()
         return BidiskZeroReport("zero_found", (complex(z1[w]), complex(z2[w])), float(vals[w] * scale), size)
+    for k, (a, roots) in enumerate(zip((c[:, 0], c[0, :]), axes)):
+        if np.any((np.abs(roots) > rmax) & (np.abs(roots) < 1.0)):
+            for mean, z, rad in _clusters(a):
+                if np.any(np.abs(z) > rmax) and np.max(np.abs(z) + rad) < 1.0:
+                    point = (complex(mean), 0j)[:: 1 - 2 * k]
+                    return BidiskZeroReport("zero_found", point, abs(p.evaluate(*point)), size)
 
     # the torus values: the fibres' z2 transform, back in (z1, z2) order
     grid = np.abs(np.fft.ifft(fibres, n=size, axis=0, norm="forward").T).ravel()
     starts = np.argpartition(grid, 7)[:8]
     theta = 2.0 * np.pi * np.stack([starts // size, starts % size], axis=-1) / size
-    best = min(_torus_descent(c, theta).min(), vals.min(initial=np.inf))
+    best = min(_torus_descent(c, theta, rmax).min(), vals.min(initial=np.inf))
     return BidiskZeroReport("none_found_heuristic", None, float(best * scale), size)

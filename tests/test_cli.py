@@ -336,6 +336,28 @@ def test_classify_plateau_case(capsys):
     assert len(doc["scan"]) == 13
 
 
+# roots just off the circle are known to rounding, so their torus sets are
+# empty; an axis root beyond 1 - delta but inside the disk is a zero
+@pytest.mark.parametrize("alpha", ["1.5", "3"])
+@pytest.mark.parametrize(
+    "text, verdict, bidisk",
+    [
+        ("1.0000005 - z1", "cyclic", "none_found_heuristic"),
+        ("2.000000000001 - z1 - z2", "cyclic", "none_found_heuristic"),
+        ("(1.0000005 - z1)*(3 - z2)", "cyclic", "none_found_heuristic"),
+        ("0.9999995 - z1", "not_cyclic", "zero_found"),
+        ("0.9995 - z1", "not_cyclic", "zero_found"),
+    ],
+)
+def test_classify_near_circle_roots(capsys, text, verdict, bidisk, alpha):
+    code, out, _ = run(capsys, "classify", "-p", text, "--alpha", alpha, "--nmax", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["torus"]["torus"] == "empty"
+    assert doc["bidisk"]["bidisk"] == bidisk
+    assert doc["predicted"] == verdict
+
+
 def test_classify_inconclusive_exit4_report_written(capsys):
     code, out, _ = run(
         capsys, "classify", "-p", "(1 - z1)^2", "--alpha", "1", "--nmax", "8"

@@ -1,4 +1,5 @@
-"""Property tests of distance scans over generated polynomials.
+"""Property tests of distance scans over generated polynomials, and of the
+torus class under rotation.
 
 Each f has bidegree at most (2, 2) and a constant term larger than the sum
 of the other coefficient moduli, so it has no zero on the closed bidisk.
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidisk import parse_polynomial, torus_zeros
 from bidisk.approximant import BasisSpec, basis_monomials, distance_scan, optimal_approximant
 from bidisk.operators import rotate
 from bidisk.poly import Poly2
@@ -95,3 +97,19 @@ def test_blocked_rows_match_per_row_solves(f, alpha, n_max, n2):
     basis = basis_monomials(spec)
     got = optimal_approximant(f, spec, sp).distance_squared
     assert got == pytest.approx(per_row_distances_sq(f, sp, basis, [len(basis)])[0], **tol)
+
+
+# each touches the torus at (1, 1) only, the square and the product with a
+# zero-free factor at a multiple root of the resultant
+TANGENT = ["2 - z1 - z2", "(2 - z1 - z2)^2", "(2 - z1 - z2)*(3 - z1 - z2)"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=angle, phi=angle, text=st.sampled_from(TANGENT))
+def test_rotated_tangent_point_found_once(theta, phi, text):
+    zeta, eta = np.exp(1j * theta), np.exp(1j * phi)
+    cls = torus_zeros(rotate(parse_polynomial(text), zeta, eta))
+    assert cls.kind == "finite"
+    assert len(cls.points) == 1
+    (z1, z2), = cls.points
+    assert max(abs(z1 - np.conj(zeta)), abs(z2 - np.conj(eta))) <= 1e-6

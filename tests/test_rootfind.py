@@ -68,14 +68,25 @@ def test_residual_certification(rng):
 
 
 def test_near_circle_tolerance():
-    # root at radius 1 + 5e-7 is inside the default circle tolerance 1e-6
-    rho = 1.0 + 5e-7
-    r = Poly1(np.array([-rho, 1.0]))
-    roots = roots_on_unit_circle(r)
-    assert len(roots) == 1
-    # and radius 1 + 1e-4 is not
+    # the root 1 + 5e-7 is known to rounding, so its inclusion disc misses
+    # the circle; the root of 1 - z lies on it, once
+    assert roots_on_unit_circle(Poly1(np.array([-(1.0 + 5e-7), 1.0]))) == []
+    assert roots_on_unit_circle(Poly1(np.array([1.0, -1.0]))) == [1.0]
+    # and radius 1 + 1e-4 is not on it either
     rho = 1.0 + 1e-4
     assert roots_on_unit_circle(Poly1(np.array([-rho, 1.0]))) == []
+
+
+@pytest.mark.parametrize("root, power", [(-3.0, 2), (-2 - 4j, 2), (2.0, 3), (0.5j, 4)])
+def test_multiple_root_off_circle_is_not_on_it(root, power):
+    # np.roots returns these multiple roots as equal or nearly equal
+    # estimates, whose inclusion discs are spread before they are taken
+    c = np.array([1.0 + 0j])
+    for _ in range(power):
+        c = np.convolve(c, [-root, 1.0])
+    assert roots_on_unit_circle(Poly1(c)) == []
+    roots = roots_on_unit_circle(Poly1(np.convolve(c, [1.0, -2.0, 1.0])))
+    assert len(roots) == 1 and abs(roots[0] - 1.0) <= 1e-12
 
 
 def test_negligible_leading_coefficients_are_dropped():

@@ -20,7 +20,8 @@ floating point, and the product's rounding is far below every case's
 margin.
 
 A refusal (InconclusiveError) passes.  A wrong class, a finite point set
-more than POINT_TOL from the truth, or a NumericalError is a defect.  The
+with another number of points than the truth or more than POINT_TOL from
+it, or a NumericalError is a defect.  The
 defects known today are listed in KNOWN_DEFECTS and run as strict xfails,
 so a change that mends one, or breaks another, shows up here.
 """
@@ -120,51 +121,21 @@ def _named(copies: str, names: str) -> list:
 
 
 # every case and copy torus_zeros gets wrong today, by cause; CHANGES.md has
-# one FOUND line per cause.  Measured with numpy 2.4.6 on x86-64; which
-# rounding split of a multiple root lands inside the circle window can
-# change with another LAPACK build, and the strict xfails then name the case.
+# one FOUND line per cause.  Measured with numpy 2.4.6 on x86-64; where a
+# multiple root is located only roughly, another LAPACK build can round it
+# differently, and the strict xfails then name the case.
 KNOWN_DEFECTS = frozenset(
-    # the circle window: a root within CIRCLE_TOL of the circle counts as on it
-    _named(
-        "base rot1 rot2 rot3 swap up20 down20 prod",
-        "near_line_k8 near_line_k9 near_line_k10 near_line_k11 near_line_k12",
-    )
-    + _named(
-        "base rot1 rot2 rot3 swap up20 down20",
-        "near_line_k6 near_line_k7 root_just_in root_just_out",
-    )
-    # the circle window again: a line factor rho - z1 times others puts a
-    # multiple root at rho into the resultant, rounding splits it beyond
-    # CIRCLE_TOL, and the line is missed; a swap turns a line rho - z2,
-    # which p and p~ share, into such a factor
-    + _named("base rot1 rot2 rot3 up20 down20 prod", "draw065")
-    + _named("base rot1 rot2 rot3 up20 prod", "draw000 draw026 draw041 draw170 draw188")
-    + _named("swap prod", "draw018 draw025 draw043 draw053 draw058 draw168 draw178")
-    + _named("swap", "draw028 draw068 draw112 draw173 draw189")
+    # multiple roots: a k-fold root of the resultant is known to about
+    # eps^(1/k), and a torus point where |p| grows like the 2k-th power of
+    # the distance is reached to about eps^(1/(2k)), so high-multiplicity
+    # tangents lose, move or double their points, and a line rho - z1 in a
+    # product is sliced too far from rho to vanish
+    _named("base rot1 rot2 rot3 swap up20 prod", "draw196 tangent_powers")
+    + _named("swap prod", "draw058")
     + _named(
         "prod",
-        "draw036 draw042 draw055 draw067 draw072 draw098 draw102 draw104 draw121 draw132",
-    )
-    # tangential products: each tangent point is a multiple root of the
-    # resultant, split beyond CIRCLE_TOL, and the point is missed
-    + _named(
-        "base rot1 rot2 rot3 swap up20 prod",
-        "draw141 draw194 draw196 tangent_powers three_tangent_factors",
-    )
-    + _named("base rot1 rot2 rot3 up20 prod", "draw009 draw022 draw086 draw114 draw171")
-    + _named("base rot1 rot2 rot3 prod", "draw169")
-    + _named("rot1 rot2 rot3 swap prod", "draw106")
-    + _named("rot2 rot3 up20 prod", "draw094")
-    + _named("base rot1 up20", "draw184")
-    + _named("rot1 up20 prod", "draw193")
-    + _named("base prod", "draw078")
-    + _named("swap prod", "draw016 draw110")
-    + _named("up20 prod", "draw159")
-    + _named("swap", "draw147 draw164 draw181")
-    + _named(
-        "prod",
-        "draw002 draw050 draw083 draw092 draw142 draw148 draw154 draw156 draw185 draw187"
-        " draw191 two_levels",
+        "draw018 draw025 draw026 draw041 draw043 draw053 draw072 draw141 draw168 draw178"
+        " draw188 draw194 three_tangent_factors",
     )
     # PROPORTIONAL_TOL: p~ within 1e-8 of lambda p reads as a curve of zeros
     + _named(
@@ -177,9 +148,10 @@ KNOWN_DEFECTS = frozenset(
     + _named("base rot1 rot2 rot3 swap up20 down20", "near_curve_k8")
     + _named("base rot1 rot2 rot3 swap down20", "high_power")
     + _named("prod", "near_curve_k10 near_curve_k11 near_curve_k12 reflection_pair")
-    # RESID_TOL: 2 + 1e-12 - z1 - z2 has circle roots 1e-12 off the circle,
-    # and a point there passes as a torus zero
-    + _named("rot2 up20 prod", "near_point_k12 point_just_out")
+    # RESID_TOL: (1 + 10^-k - z1)(3 - z1 - z2) puts the root pair 1 + 10^-k
+    # and 1 / (1 + 10^-k) into the resultant, one cluster that meets T, and
+    # the slice at 1 is so small that it reads as a line factor
+    + _named("prod", "near_line_k8 near_line_k9 near_line_k10 near_line_k11 near_line_k12")
     # the resultant of 2^20 (z1^40 z2^40 + 1.2) overflows (NumericalError)
     + _named("up20", "high_power")
     # the zero test is not homogeneous: ZERO_REL_EPS ||p|| ||p~|| scales as
@@ -204,12 +176,13 @@ KNOWN_DEFECTS = frozenset(
 
 
 def _same_points(got, want) -> bool:
-    """Whether every point of each set lies within POINT_TOL of the other's."""
+    """Whether the sets have as many points, each within POINT_TOL of one of
+    the other's."""
 
     def near(z, w):
         return max(abs(z[0] - w[0]), abs(z[1] - w[1])) <= POINT_TOL
 
-    return all(any(near(z, w) for w in want) for z in got) and all(
+    return len(got) == len(want) and all(any(near(z, w) for w in want) for z in got) and all(
         any(near(z, w) for z in got) for w in want
     )
 

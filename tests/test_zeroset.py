@@ -17,7 +17,7 @@ from bidisk import (
 from bidisk import zeroset
 from bidisk.errors import DegenerateInputError
 from bidisk.poly import coeff_norm
-from bidisk.zeroset import CIRCLE_TOL, DELTA, RESID_TOL
+from bidisk.zeroset import DELTA, RESID_TOL
 
 P = parse_polynomial
 
@@ -504,7 +504,6 @@ def test_bidisk_json_shapes(cli):
 
 
 def test_tolconfig_defaults():
-    assert CIRCLE_TOL == 1e-6
     assert RESID_TOL == 1e-8
 
 
