@@ -12,31 +12,29 @@ modulus as p on the torus):
    pi/N of a node in both angles, so by the mean-value theorem |p| drops by
    at most (pi/N) sum (k + l)|c_kl| there, and N eps sum |c_kl| covers the
    FFT's rounding;
-4. p proportional to p~, read off at p's largest coefficient and accepted
-   within PROPORTIONAL_TOL, signals a curve of torus zeros (Infinite);
-5. otherwise every torus zero is a common root of p and p~, so its first
-   coordinate rho is a circle root of Res_z2(p, p~).  A Gauss-Newton
+4. p~ = lambda p, read off at p's largest coefficient and accepted within
+   2 (m + n + 4) eps of the larger coefficient, signals a curve (Infinite);
+5. p and p~ share a factor involving z2 exactly when Res_z2(p, p~) vanishes,
+   that is when their Sylvester matrix in z2 is singular at every z1: at
+   every node below its smallest singular value is within 2 (max(m1, m2) +
+   n1 + n2 + 2) eps of its largest, a test no scaling of p moves.  That
+   signals a curve (Infinite) unless step 3's grid with a second-order
+   Taylor bound proves the set Empty;
+6. otherwise every torus zero is a common root of p and p~, so its first
+   coordinate rho is a circle root of the resultant.  A Gauss-Newton
    descent on T^2 from rho and each root cluster of the slice p(rho, .)
    ends at a zero when |p| there is within the rounding of evaluating it,
    2 (m + n + 2) eps sum |c_kl| for ||p|| = 1; it is a zero already kept
    when |p| at their angular midpoint is within that bound too.
 
-   The resultant is computed by evaluation and interpolation: z1 is fixed
-   at the (D+1)-th roots of unity, where D bounds the z1-degree of the
-   Sylvester determinant, the numeric determinant of the Sylvester matrix
-   of the two z2-slices is taken at each node (LAPACK LU), and a discrete
-   Fourier transform recovers the coefficients.  It vanishes identically
-   exactly when p and p~ share a factor involving z2, which is declared
-   when every coefficient is below ZERO_REL_EPS times the product of the
-   input coefficient norms (Infinite).  Verdicts within INCONCLUSIVE_BAND
-   of that threshold are refused (InconclusiveError) rather than guessed,
-   and so are inputs whose Sylvester matrices would take more than
-   STACK_BYTES; determinants past the double range raise NumericalError.
-
-   Roots come from ``np.roots``.  A circle root is a cluster of their
-   overlapping Carstensen inclusion discs that meets T, at its mean
-   projected onto T, so a multiple root, typical of these resultants,
-   counts once.
+   The resultant is interpolated from Sylvester determinants (LAPACK LU) at
+   the (D+1)-th roots of unity, D the bound on its degree, by a discrete
+   Fourier transform.  Inputs whose Sylvester matrices would take more than
+   STACK_BYTES are refused (InconclusiveError); determinants that all over-
+   or underflow the double range raise NumericalError.  Roots come from
+   ``np.roots``: a circle root is a cluster of their overlapping Carstensen
+   inclusion discs that meets T, at its mean projected onto T, so a
+   multiple root, typical of these resultants, counts once.
 
 The bidisk search covers the closed polydisk of radius r = 1 - delta and
 rests on two classical facts.
@@ -89,11 +87,9 @@ __all__ = [
 # Fixed tolerances and budgets: a certified verdict ("zero_found", a torus
 # class) rests on them, so they are not open to callers.  Residuals are
 # relative to the coefficient norm.  A resultant that is not zero has its
-# coefficients at most 1e-10 times its largest trimmed to 0.
+# coefficients at most 1e-10 times its largest trimmed to 0; whether p and
+# p~ are proportional or share a factor is decided at rounding level.
 RESID_TOL = 1e-8  # |p| at a certified bidisk zero; a smaller slice is a line factor
-PROPORTIONAL_TOL = 1e-8  # p~ = lambda p within this share of the larger coefficient
-ZERO_REL_EPS = 1e-8  # the resultant is zero at most this times ||p|| ||p~||
-INCONCLUSIVE_BAND = 10.0  # a resultant above that threshold by less is refused
 STACK_BYTES = 1 << 29  # a resultant whose Sylvester matrices take more is refused
 
 # The bidisk search: the polydisk of radius 1 - DELTA, at least ANGLES
@@ -110,14 +106,17 @@ class TorusZeroClass:
     kind "finite" carries the points; kind "infinite" carries a witness for
     why the set is infinite:
 
-    * proportional_reflection: p~ = lambda p, so |p| vanishes on a curve
-      (data: lambda);
-    * vanishing_resultant: p and p~ share a z2-involving factor
-      (Bezout: two curves with infinitely many common points share one);
+    * proportional_reflection: p~ = lambda p (data: lambda);
+    * vanishing_resultant: p and p~ share a z2-involving factor that the
+      torus grid cannot prove zero-free there;
     * univariate_circle_roots: p depends on one variable with roots on the
       circle, each giving a line of torus zeros (data: the roots);
     * line_factor: a slice of p at a circle root vanished identically, so
       p contains the line z_i = rho (data: rho).
+
+    The first two prove a curve of torus zeros only when p has no zeros in
+    the open bidisk: a shared factor such as (z1 z2 - 2)(1 - 2 z1 z2) misses
+    the torus.
     """
 
     kind: Literal["empty", "finite", "infinite"]
@@ -151,21 +150,36 @@ def _torus_bounded_away(core: Poly2) -> bool:
     neither side can overflow.
     """
     c = core.coeffs / coeff_norm(core)
-    m, n = core.bidegree
-    size = _grid_size(m, n)
+    size = _grid_size(*core.bidegree)
+    k, l = np.ogrid[: c.shape[0], : c.shape[1]]
     mod = np.abs(c)
-    slope = np.pi / size * np.sum(mod * np.add.outer(np.arange(m + 1), np.arange(n + 1)))
+    slope = np.pi / size * np.sum(mod * (k + l))
     rounding = size * np.finfo(np.float64).eps * mod.sum()
     return np.abs(_torus_samples(c, size)).min() > slope + rounding
 
 
+def _torus_bounded_away_to_second_order(core: Poly2) -> bool:
+    """Whether the grid of _torus_bounded_away and the angle derivatives p_1,
+    p_2 at its nodes prove that core has no zero on T^2: within pi/N of a
+    node |p| drops by at most (pi/N)(|p_1| + |p_2|) + (pi/N)^2 / 2 sum
+    (k + l)^2 |c_kl| (Taylor), and N eps sum (1 + k + l)|c_kl| covers the
+    three FFTs' rounding."""
+    c = core.coeffs / coeff_norm(core)
+    size = _grid_size(*core.bidegree)
+    k, l = np.ogrid[: c.shape[0], : c.shape[1]]
+    h, mod = np.pi / size, np.abs(c)
+    val, d1, d2 = (np.abs(_torus_samples(a, size)) for a in (c, k * c, l * c))
+    curvature = h * h / 2 * np.sum(mod * (k + l) ** 2)
+    rounding = size * np.finfo(np.float64).eps * np.sum(mod * (1 + k + l))
+    return (val - h * (d1 + d2)).min() > curvature + rounding
+
+
 def proportional(p: Poly2, q: Poly2) -> Optional[complex]:
-    """Return lambda with q = lambda * p (within PROPORTIONAL_TOL, relative),
-    else None.
+    """Return lambda with q = lambda * p, within rounding, else None.
 
     The scale is read off at p's largest coefficient; the match is accepted
-    when the worst deviation of q - lambda*p stays below PROPORTIONAL_TOL
-    times the larger coefficient magnitude of the two sides.
+    when the worst deviation of q - lambda*p stays within 2 (m + n + 4) eps
+    of the larger coefficient of the two sides, p of bidegree (m, n).
     """
     if p.is_zero or q.is_zero:
         raise ValueError("proportionality test requires nonzero polynomials")
@@ -174,28 +188,23 @@ def proportional(p: Poly2, q: Poly2) -> Optional[complex]:
     a, b = p.coeffs, q.coeffs
     anchor = np.unravel_index(np.argmax(np.abs(a)), a.shape)
     lam = b[anchor] / a[anchor]
-    scale = max(float(np.abs(b).max()), abs(lam) * float(np.abs(a).max()), 1e-300)
-    if float(np.abs(b - lam * a).max()) <= PROPORTIONAL_TOL * scale:
+    scale = max(float(np.abs(b).max()), abs(lam) * float(np.abs(a).max()))
+    if float(np.abs(b - lam * a).max()) <= 2 * (sum(p.bidegree) + 4) * np.finfo(np.float64).eps * scale:
         return complex(lam)
     return None
 
 
 @dataclass(frozen=True)
 class ResultantDetail:
-    """Raw interpolation output plus the zero-test bookkeeping."""
+    """Raw interpolation output and whether the inputs share a factor."""
 
     coeffs: np.ndarray  # ascending in z1, untrimmed
-    max_coeff: float
-    zero_threshold: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.max_coeff <= self.zero_threshold
+    is_zero: bool  # every node's Sylvester matrix is singular to rounding
 
     def trimmed(self) -> Poly1:
-        """The resultant with coefficients at most 1e-10 * max_coeff zeroed."""
+        """The resultant, its coefficients at most 1e-10 times the largest zeroed."""
         c = self.coeffs.copy()
-        c[np.abs(c) <= 1e-10 * self.max_coeff] = 0.0
+        c[np.abs(c) <= 1e-10 * np.abs(c).max()] = 0.0
         return Poly1(c)
 
 
@@ -206,34 +215,28 @@ def _sylvester_stack(pvals: np.ndarray, qvals: np.ndarray) -> np.ndarray:
     ascending.  Rows hold descending coefficients in the classical layout:
     n2 rows of p, then n1 rows of q.
     """
-    nodes = pvals.shape[0]
-    n1 = pvals.shape[1] - 1
-    n2 = qvals.shape[1] - 1
-    size = n1 + n2
-    s = np.zeros((nodes, size, size), dtype=np.complex128)
-    pdesc = pvals[:, ::-1]
-    qdesc = qvals[:, ::-1]
+    n1, n2 = pvals.shape[1] - 1, qvals.shape[1] - 1
+    s = np.zeros((pvals.shape[0], n1 + n2, n1 + n2), dtype=np.complex128)
     for r in range(n2):
-        s[:, r, r : r + n1 + 1] = pdesc
+        s[:, r, r : r + n1 + 1] = pvals[:, ::-1]
     for r in range(n1):
-        s[:, n2 + r, r : r + n2 + 1] = qdesc
+        s[:, n2 + r, r : r + n2 + 1] = qvals[:, ::-1]
     return s
 
 
 def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
-    """Res_{z2}(p, q) by interpolation, untrimmed, with its zero test.
-
-    Raises InconclusiveError when the largest coefficient lands above the
-    zero threshold but within INCONCLUSIVE_BAND of it, where neither
-    verdict would be trustworthy, or when the Sylvester matrices would take
-    more than STACK_BYTES.
+    """Res_{z2}(p, q) by interpolation, untrimmed, with its zero test: a
+    shared z2-involving factor when every node's Sylvester matrix has its
+    smallest singular value within 2 (max(m1, m2) + n1 + n2 + 2) eps of its
+    largest, taken 8 nodes at a time up to the first nonsingular block.
+    Raises InconclusiveError past STACK_BYTES, and NumericalError when no
+    factor is shared but the determinants over- or underflow.
     """
     m1, n1 = p.bidegree
     m2, n2 = q.bidegree
     if n1 == 0 or n2 == 0:
         raise DegenerateInputError("resultant in z2 needs both inputs to involve z2")
-    bound = m1 * n2 + m2 * n1
-    nodes = bound + 1
+    nodes = m1 * n2 + m2 * n1 + 1
     need = nodes * (n1 + n2) ** 2 * np.dtype(np.complex128).itemsize
     if need > STACK_BYTES:
         raise InconclusiveError(
@@ -242,26 +245,22 @@ def resultant_z2_detail(p: Poly2, q: Poly2) -> ResultantDetail:
         )
     omega = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     # z2-slice coefficients at each node: node x (n+1) arrays
-    v1 = np.power(omega[:, None], np.arange(m1 + 1)[None, :])
-    v2 = np.power(omega[:, None], np.arange(m2 + 1)[None, :])
-    pvals = v1 @ p.coeffs
-    qvals = v2 @ q.coeffs
+    pvals = np.power(omega[:, None], np.arange(m1 + 1)[None, :]) @ p.coeffs
+    qvals = np.power(omega[:, None], np.arange(m2 + 1)[None, :]) @ q.coeffs
+    stack = _sylvester_stack(pvals, qvals)
     with np.errstate(over="ignore", invalid="ignore"):
-        dets = np.linalg.det(_sylvester_stack(pvals, qvals))
+        dets = np.linalg.det(stack)
         coeffs = np.fft.fft(dets) / nodes
-    if not np.all(np.isfinite(coeffs)):
+    tol = 2 * (max(m1, m2) + n1 + n2 + 2) * np.finfo(np.float64).eps
+    blocks = (np.linalg.svd(stack[k : k + 8], compute_uv=False) for k in range(0, nodes, 8))
+    is_zero = np.isfinite(stack).all() and all((sv[:, -1] <= tol * sv[:, 0]).all() for sv in blocks)
+    finite = np.isfinite(coeffs).all()
+    if not is_zero and not (finite and coeffs.any()):
         raise NumericalError(
-            f"resultant overflows the double range: its {nodes} Sylvester determinants "
-            f"of size {n1 + n2} are not all finite"
+            f"resultant {'underflows' if finite else 'overflows'} the double range: its {nodes} "
+            f"Sylvester determinants of size {n1 + n2} are {'all 0' if finite else 'not all finite'}"
         )
-    threshold = float(ZERO_REL_EPS * coeff_norm(p) * coeff_norm(q))
-    max_coeff = float(np.abs(coeffs).max())
-    if threshold < max_coeff <= INCONCLUSIVE_BAND * threshold:
-        raise InconclusiveError(
-            f"resultant refused: its largest coefficient {max_coeff:.3e} sits within "
-            f"{INCONCLUSIVE_BAND:g}x of the zero threshold {threshold:.3e}"
-        )
-    return ResultantDetail(coeffs=coeffs, max_coeff=max_coeff, zero_threshold=threshold)
+    return ResultantDetail(coeffs=coeffs, is_zero=is_zero)
 
 
 def resultant_z2(p: Poly2, q: Poly2) -> Poly1:
@@ -352,9 +351,8 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
     zero-free there reads "empty" without the resultant.  A tangent torus
     point, where |p| grows like the squared distance, is located to about
     sqrt(eps): the descent stops there.  Raises InconclusiveError when the
-    resultant's zero test lands too close to its threshold to commit or the
-    resultant is too large to compute, and DegenerateInputError for the
-    zero polynomial.
+    resultant is too large to compute, NumericalError when it over- or
+    underflows, and DegenerateInputError for the zero polynomial.
     """
     if p.is_zero:
         raise DegenerateInputError("the zero polynomial vanishes everywhere")
@@ -376,7 +374,8 @@ def torus_zeros(p: Poly2) -> TorusZeroClass:
 
     detail = resultant_z2_detail(core, mirror)
     if detail.is_zero:
-        return TorusZeroClass("infinite", witness="vanishing_resultant")
+        bounded = _torus_bounded_away_to_second_order(core)
+        return TorusZeroClass("empty") if bounded else TorusZeroClass("infinite", witness="vanishing_resultant")
     scale = coeff_norm(core)
     starts = []
     for rho in roots_on_unit_circle(detail.trimmed()):

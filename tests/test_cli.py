@@ -306,13 +306,13 @@ def test_config_file_bad_value_is_an_input_error(capsys, tmp_path, text, message
 
 
 def test_zeros_inconclusive_exit4(capsys, monkeypatch):
-    # a zero threshold of 1.2 puts the resultant's max 4 within 10x of it
-    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
+    # a budget of 0 bytes refuses the resultant's three 2 x 2 Sylvester matrices
+    monkeypatch.setattr("bidisk.zeroset.STACK_BYTES", 0)
     code, out, _ = run(capsys, "zeros", "-p", "2 - z1 - z2")
     assert code == 4
     doc = json.loads(out)
     assert doc["torus"] is None
-    assert "4.000e+00" in doc["inconclusive"] and "1.200e+00" in doc["inconclusive"]
+    assert "above the 0 GiB budget" in doc["inconclusive"]
     assert doc["bidisk"]["bidisk"] == "none_found_heuristic"
 
 
@@ -427,7 +427,7 @@ def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
     # as in test_zeros_inconclusive_exit4: the first factor's resultant is
     # refused, which ends the run before the second factor; the refused
     # factor is not searched
-    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.STACK_BYTES", 0)
     searched = []
     monkeypatch.setattr("bidisk.cli.bidisk_zero_search", searched.append)
     code, out, _ = run(
@@ -440,13 +440,13 @@ def test_classify_factors_torus_refused_exit4(capsys, monkeypatch):
     [factor] = doc["factors"]
     assert set(factor) == {"polynomial", "inconclusive"}
     assert factor["polynomial"] == poly2_to_json_dict(parse_polynomial("2 - z1 - z2"))
-    assert "4.000e+00" in factor["inconclusive"] and "1.200e+00" in factor["inconclusive"]
+    assert "above the 0 GiB budget" in factor["inconclusive"]
 
 
 def test_classify_torus_refused_exit4(capsys, monkeypatch):
     # as above, for one polynomial: the refused torus class ends the run
     # before the search
-    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.STACK_BYTES", 0)
     searched = []
     monkeypatch.setattr("bidisk.classify.bidisk_zero_search", searched.append)
     code, out, _ = run(capsys, "classify", "-p", "2 - z1 - z2", "--alpha", "1")
@@ -454,7 +454,7 @@ def test_classify_torus_refused_exit4(capsys, monkeypatch):
     assert code == 4
     doc = json.loads(out)
     assert set(doc) == {"polynomial", "alpha", "inconclusive"}
-    assert "4.000e+00" in doc["inconclusive"] and "1.200e+00" in doc["inconclusive"]
+    assert "above the 0 GiB budget" in doc["inconclusive"]
 
 
 # ----------------------------------------------------- recurrence, qsmooth

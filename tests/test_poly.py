@@ -251,7 +251,7 @@ def test_proportional_complex_scale(rng):
 
 
 def test_proportional_rejects_tolerance_keyword():
-    # the tolerance is fixed at PROPORTIONAL_TOL
+    # the tolerance is fixed at rounding level
     with pytest.raises(TypeError, match="tol"):
         proportional(P("1 - z1*z2"), P("z1*z2 - 1"), tol=1.0)
 

@@ -3,7 +3,8 @@ import pytest
 
 from bidisk.errors import DegenerateInputError
 from bidisk.expr import parse_polynomial as P
-from bidisk.poly import Poly1, coeff_norm
+from bidisk.operators import reflect
+from bidisk.poly import Poly1
 from bidisk.zeroset import resultant_z2, resultant_z2_detail
 from conftest import random_poly
 
@@ -90,28 +91,33 @@ def test_common_factor_means_zero(rng):
     assert r.is_zero
 
 
-def test_detail_threshold_fields():
-    d = resultant_z2_detail(P("2 - z1 - z2"), P("2*z1*z2 - z1 - z2"))
-    assert d.max_coeff > 0
-    assert d.zero_threshold == pytest.approx(1e-8 * coeff_norm(P("2 - z1 - z2")) * coeff_norm(P("2*z1*z2 - z1 - z2")))
-    assert not d.is_zero
+def test_detail_is_zero_on_a_shared_factor_only():
+    # (1 - z1 z2)(3 - z1 - z2)^3 and its reflection share 1 - z1 z2, though
+    # the largest interpolated coefficient is 1.6e-6 ||p||^2, far above
+    # rounding; 2 - z1 - z2 and its reflection share nothing, at any scale
+    shared = P("(1 - z1*z2)*(3 - z1 - z2)^3")
+    assert resultant_z2_detail(shared, reflect(shared)).is_zero
+    for scale in (1e-6, 1.0, 1e6):
+        p = P("2 - z1 - z2") * scale
+        d = resultant_z2_detail(p, reflect(p))
+        assert not d.is_zero
+        np.testing.assert_allclose(d.coeffs, np.array([2.0, -4.0, 2.0]) * scale**2, rtol=1e-12, atol=0)
 
 
-# The zero threshold is fixed: neither function takes it as a keyword.
+# The zero test is fixed: neither function takes a threshold as a keyword.
 @pytest.mark.parametrize("fn", [resultant_z2, resultant_z2_detail])
 def test_resultant_rejects_threshold_keyword(fn):
     with pytest.raises(TypeError, match="zero_rel_eps"):
         fn(P("2 - z1 - z2"), P("2*z1*z2 - z1 - z2"), zero_rel_eps=1.0)
 
 
-def test_near_threshold_is_refused_once_for_every_caller(monkeypatch):
-    # with ZERO_REL_EPS = 0.2 the resultant of 2 - z1 - z2 and its
-    # reflection, 2 - 4 z1 + 2 z1^2, has max 4 against a threshold of 1.2
+def test_budget_refusal_reads_the_same_for_every_caller(monkeypatch):
+    # a budget of 0 bytes refuses the three 2 x 2 Sylvester matrices of
+    # 2 - z1 - z2 and its reflection, in one message from resultant_z2_detail
     from bidisk.errors import InconclusiveError
-    from bidisk.operators import reflect
     from bidisk.zeroset import torus_zeros
 
-    monkeypatch.setattr("bidisk.zeroset.ZERO_REL_EPS", 0.2)
+    monkeypatch.setattr("bidisk.zeroset.STACK_BYTES", 0)
     p = P("2 - z1 - z2")
     messages = set()
     for call in (
@@ -123,7 +129,7 @@ def test_near_threshold_is_refused_once_for_every_caller(monkeypatch):
             call()
         messages.add(str(info.value))
     (message,) = messages
-    assert "4.000e+00" in message and "1.200e+00" in message
+    assert "3 Sylvester matrices of size 2" in message and "above the 0 GiB budget" in message
 
 
 def test_resultant_refuses_a_stack_over_budget():
@@ -141,10 +147,25 @@ def test_resultant_overflow_is_a_numerical_failure():
     import warnings
 
     from bidisk.errors import NumericalError
-    from bidisk.operators import reflect
 
     p = P("(3 - z1 - z2)^20")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="overflows"):
             resultant_z2_detail(p, reflect(p))
+
+
+def test_resultant_underflow_is_a_numerical_failure():
+    # 2^-20 (z1^40 z2^40 + 1.2) shares no factor with its reflection, but
+    # its 3201 Sylvester determinants of size 80 all underflow to 0: a zero
+    # resultant would otherwise reach the circle roots as a degenerate input
+    import warnings
+
+    from bidisk.errors import NumericalError
+    from bidisk.zeroset import torus_zeros
+
+    p = P("z1^40*z2^40 + 1.2") * 2.0**-20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="underflows"):
+            torus_zeros(p)

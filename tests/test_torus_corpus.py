@@ -10,14 +10,15 @@ and with a = |b| + |c| and one of b, c zero it vanishes on a line.  The zero
 set of the product is the union of its factors'.  The fixed inputs have
 known classes as well.
 
-Each case also runs as seven copies under maps that keep the torus zero set
+Each case also runs as nine copies under maps that keep the torus zero set
 in step with the truth, named after the case: "-rot1", "-rot2" and "-rot3"
 take p(z1, z2) to p(i^k z1, i^-k z2), so a point (a, b) to (a i^-k, b i^k);
 "-swap" exchanges z1 and z2 and each point's coordinates; "-up20" and
-"-down20" scale p by 2^20 and 2^-20; "-prod" multiplies p by 3 - z1 - z2,
-which has no zero on the closed bidisk.  All but the product are exact in
-floating point, and the product's rounding is far below every case's
-margin.
+"-down20" scale p by 2^20 and 2^-20, and "-e6" and "-em6" by 1e6 and 1e-6;
+"-prod" multiplies p by 3 - z1 - z2, which has no zero on the closed
+bidisk.  The rotations, the swap and the powers of two are exact in
+floating point; the decimal scalings and the product round, far below
+every case's margin.
 
 A refusal (InconclusiveError) passes.  A wrong class, a finite point set
 with another number of points than the truth or more than POINT_TOL from
@@ -82,6 +83,7 @@ def _fixed_cases() -> list:
         ("tangent_powers", "(2 - z1 - z2)^4*(3 - z1 - z2)^2", one),
         ("three_tangent_factors", "(2 - z1 - z2)*(2 - z1*z2 - z2)*(3 + z1^3 - z2^2)", one),
     ]
+    cases += [(f"shared_curve_k{k}", f"(1 - z1*z2)*(3 - z1 - z2)^{k}", INFINITE) for k in (3, 4, 6)]
     return [(name, parse_polynomial(text), truth) for name, text, truth in cases]
 
 
@@ -107,6 +109,8 @@ def _copies(name: str, p: Poly2, truth) -> list:
         (f"{name}-swap", Poly2(c.T), (kind, tuple((b, a) for a, b in points))),
         (f"{name}-up20", Poly2(c * 2.0**20), truth),
         (f"{name}-down20", Poly2(c * 2.0**-20), truth),
+        (f"{name}-e6", Poly2(c * 1e6), truth),
+        (f"{name}-em6", Poly2(c * 1e-6), truth),
         (f"{name}-prod", p * _ZERO_FREE, truth),
     ]
 
@@ -130,48 +134,16 @@ KNOWN_DEFECTS = frozenset(
     # the distance is reached to about eps^(1/(2k)), so high-multiplicity
     # tangents lose, move or double their points, and a line rho - z1 in a
     # product is sliced too far from rho to vanish
-    _named("base rot1 rot2 rot3 swap up20 prod", "draw196 tangent_powers")
-    + _named("swap prod", "draw058")
-    + _named(
-        "prod",
-        "draw018 draw025 draw026 draw041 draw043 draw053 draw072 draw141 draw168 draw178"
-        " draw188 draw194 three_tangent_factors",
-    )
-    # PROPORTIONAL_TOL: p~ within 1e-8 of lambda p reads as a curve of zeros
-    + _named(
-        "base rot1 rot2 rot3 swap up20 down20",
-        "near_curve_k9 near_curve_k10 near_curve_k11 near_curve_k12 curve_just_out",
-    )
-    # the resultant threshold: a small resultant counts as zero, and a
-    # factor shared by p and p~ need not meet the torus
-    + _named("base rot1 rot2 rot3 swap down20 prod", "small_cube reflection_pair_times_3_minus_sum")
-    + _named("base rot1 rot2 rot3 swap up20 down20", "near_curve_k8")
-    + _named("base rot1 rot2 rot3 swap down20", "high_power")
-    + _named("prod", "near_curve_k10 near_curve_k11 near_curve_k12 reflection_pair")
+    _named("base rot1 rot2 rot3 swap up20 down20 e6 em6 prod", "draw196 tangent_powers")
+    + _named("swap", "draw058")
+    + _named("prod", "draw026 draw041 draw072 draw141 draw188 draw194 three_tangent_factors")
     # RESID_TOL: (1 + 10^-k - z1)(3 - z1 - z2) puts the root pair 1 + 10^-k
     # and 1 / (1 + 10^-k) into the resultant, one cluster that meets T, and
     # the slice at 1 is so small that it reads as a line factor
     + _named("prod", "near_line_k8 near_line_k9 near_line_k10 near_line_k11 near_line_k12")
-    # the resultant of 2^20 (z1^40 z2^40 + 1.2) overflows (NumericalError)
-    + _named("up20", "high_power")
-    # the zero test is not homogeneous: ZERO_REL_EPS ||p|| ||p~|| scales as
-    # lambda^2 and the resultant as lambda^(2n), so at 2^-20 these resultants
-    # read zero, and at 2^20 these, which share a line rho - z2 with p~, do not
-    + _named(
-        "down20",
-        "draw002 draw003 draw004 draw009 draw013 draw016 draw021 draw022 draw045 draw050"
-        " draw051 draw078 draw083 draw086 draw092 draw094 draw097 draw106 draw110 draw113"
-        " draw114 draw119 draw130 draw137 draw139 draw141 draw142 draw147 draw148 draw154"
-        " draw156 draw158 draw159 draw161 draw164 draw169 draw171 draw176 draw179 draw181"
-        " draw184 draw185 draw187 draw191 draw193 draw194 draw196 tangent_powers"
-        " three_tangent_factors two_levels",
-    )
-    + _named(
-        "up20",
-        "draw012 draw018 draw025 draw028 draw035 draw040 draw043 draw049 draw053 draw058"
-        " draw068 draw087 draw099 draw112 draw122 draw123 draw153 draw168 draw173 draw178"
-        " draw189",
-    )
+    # the Sylvester determinants of z1^40 z2^40 + 1.2 scaled by 2^20 or 1e6
+    # overflow, and scaled by 2^-20 or 1e-6 underflow (NumericalError)
+    + _named("up20 down20 e6 em6", "high_power")
 )
 
 

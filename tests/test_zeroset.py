@@ -210,8 +210,9 @@ def test_torus_grid_check_is_sound(monkeypatch):
         assert torus_zeros(p).kind == "empty", p
 
 
-def test_torus_grid_check_never_passes_a_planted_zero():
-    # q - q(zeta, eta) vanishes at a torus point, however small q's slope
+def _planted_zeros():
+    """q - q(zeta, eta), which vanishes at a torus point however small q's
+    slope."""
     rng = np.random.default_rng(77)
     for _ in range(60):
         m, n = rng.integers(1, 13, 2)
@@ -220,7 +221,27 @@ def test_torus_grid_check_never_passes_a_planted_zero():
         c[0, 0] = rng.uniform(0.5, 3.0) * np.abs(c).sum()
         zeta, eta = np.exp(2j * np.pi * rng.random(2))
         c[0, 0] -= Poly2(c).evaluate(zeta, eta)
-        assert not zeroset._torus_bounded_away(zeroset._strip_monomial(Poly2(c)))
+        yield zeroset._strip_monomial(Poly2(c))
+
+
+def test_torus_grid_check_never_passes_a_planted_zero():
+    for core in _planted_zeros():
+        assert not zeroset._torus_bounded_away(core)
+
+
+def test_torus_second_order_check_never_passes_a_planted_zero():
+    for core in _planted_zeros():
+        assert not zeroset._torus_bounded_away_to_second_order(core)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_torus_shared_factor_off_the_torus_reads_empty(power):
+    # p and p~ share (z1 z2 - 2)(1 - 2 z1 z2), which misses the torus: the
+    # slope bound falls through, and the second-order bound proves |p| > 0
+    p = P(f"(z1*z2 - 2)*(1 - 2*z1*z2)*(3 - z1 - z2)^{power}")
+    assert not zeroset._torus_bounded_away(p)
+    assert zeroset._torus_bounded_away_to_second_order(p)
+    assert torus_zeros(p).kind == "empty"
 
 
 def _no_resultant(*args):
